@@ -37,7 +37,7 @@ from .copula_lab import (
     sample,
 )
 from .ecdf import EmpiricalCdf
-from .harness import DecimationResult, bias, decimate, fit_from_copula, l1_error
+from .harness import DecimationResult, decimate, fit_from_copula
 from .ising import GraphTopology, LatentIsingModel, assemble, exact_joint
 from .pairwise_em import PairSamples, PairwiseMarginal, em_fit, log_likelihood
 from .propagation import (

@@ -152,8 +152,11 @@ def _cmd_predict(args):
     if len(models) != 1:
         raise SystemExit("predict expects a single-model file")
     model = models[0]
-    observed = load_observations_csv(args.obs)
-    constraints = impose_observations(model, observed)
+    try:
+        observed = load_observations_csv(args.obs)
+        constraints = impose_observations(model, observed)
+    except ValueError as exc:
+        raise SystemExit(f"predict: {exc}")
     state, report = mbp_run(model, constraints)
     predictions = predict(model, state, decoder=args.decoder, observed=observed)
 

@@ -47,6 +47,12 @@ def _check_finite(x):
         raise ValueError("non-finite observation")
 
 
+def _check_probability(b):
+    b = np.asarray(b)
+    if not np.all((b >= 0.0) & (b <= 1.0)):  # NaN fails too
+        raise ValueError("invalid probability")
+
+
 class CdfEncoder:
     """Encode x as F(x): the latent success probability equals the quantile."""
 
@@ -212,7 +218,7 @@ class InverseCdf:
         self.cdf = cdf
 
     def decode(self, b):
-        return self.cdf.quantile(b)
+        return self.cdf.quantile(b)  # rejects invalid b, NaN included
 
 
 class BayesQuadCdf:
@@ -225,8 +231,7 @@ class BayesQuadCdf:
         self.cdf = cdf
 
     def decode(self, b):
-        if np.any(np.asarray(b) < 0.0) or np.any(np.asarray(b) > 1.0):
-            raise ValueError("invalid probability")
+        _check_probability(b)
         return self.cdf.quantile(bayes_quad_level(b))
 
 
@@ -240,8 +245,7 @@ class BayesMedianStep:
         self.cdf = cdf
 
     def decode(self, b):
-        if np.any(np.asarray(b) < 0.0) or np.any(np.asarray(b) > 1.0):
-            raise ValueError("invalid probability")
+        _check_probability(b)
         return self.cdf.quantile(median_step_level(b))
 
 
@@ -256,9 +260,8 @@ class BayesMeanStep:
         self.mean1 = float(mean1)
 
     def decode(self, b):
+        _check_probability(b)
         b = np.asarray(b, dtype=float)
-        if np.any(b < 0.0) or np.any(b > 1.0):
-            raise ValueError("invalid probability")
         out = b * self.mean1 + (1.0 - b) * self.mean0
         return float(out) if out.ndim == 0 else out
 

@@ -56,10 +56,11 @@ class EmpiricalCdf:
     def quantile(self, q):
         """Pseudo-inverse: smallest sample x with F(x) >= q.
 
-        ``q = 0`` returns the minimum sample.  Accepts scalars or arrays.
+        ``q = 0`` returns the minimum sample; q outside [0, 1] or NaN
+        raises.  Accepts scalars or arrays.
         """
         qa = np.asarray(q, dtype=float)
-        if np.any(qa < 0.0) or np.any(qa > 1.0):
+        if not np.all((qa >= 0.0) & (qa <= 1.0)):  # NaN fails too
             raise ValueError("invalid probability")
         idx = np.searchsorted(self._ranks, qa, side="left")
         idx = np.minimum(idx, self.n - 1)

@@ -29,8 +29,6 @@ from .pairwise_em import PairSamples, em_fit, em_iterates
 from .propagation import Engine, Schedule, impose_observations
 
 __all__ = [
-    "l1_error",
-    "bias",
     "fit_from_copula",
     "decimate",
     "DecimationResult",
@@ -54,26 +52,6 @@ BASELINE_PREDICTORS = ("exact", "knn", "median")
 EXPERIMENT_SCHEDULE = Schedule(
     max_sweeps=120, tol=1e-5, mode="synchronous", auto_damp=True
 )
-
-
-def l1_error(predictions: dict, truth: dict) -> float:
-    """Mean absolute deviation between two maps over identical keys."""
-    if set(predictions) != set(truth):
-        raise ValueError("key mismatch")
-    if not predictions:
-        raise ValueError("empty prediction map")
-    return float(np.mean([abs(predictions[k] - truth[k]) for k in predictions]))
-
-
-def bias(predictions: dict, optimal_predictions: dict) -> float:
-    """Mean signed deviation from the exact predictor's output."""
-    if set(predictions) != set(optimal_predictions):
-        raise ValueError("key mismatch")
-    if not predictions:
-        raise ValueError("empty prediction map")
-    return float(
-        np.mean([predictions[k] - optimal_predictions[k] for k in predictions])
-    )
 
 
 def _pair_prediction_loss(ui, uj, xi, xj, cdf_i, cdf_j, m) -> float:

@@ -55,6 +55,8 @@ def model_from_dict(payload: dict) -> LatentIsingModel:
         raise ValueError("node ids must be 0..N-1")
     encoders = []
     for d in nodes:
+        if d["encoder"] not in ENCODER_KINDS:
+            raise ValueError(f"node {d['id']}: unknown encoder kind {d['encoder']!r}")
         cdf = EmpiricalCdf(d["cdf_samples"])
         enc = ENCODER_KINDS[d["encoder"]](cdf, float(d["p1"]))
         encoders.append(enc)
@@ -161,16 +163,23 @@ def load_dataset_csv(path) -> Dataset:
 
 
 def load_observations_csv(path) -> dict:
-    """CSV rows of (node id, value); a header row is skipped if present."""
+    """CSV rows of (node id, value); a header row is skipped if present.
+
+    A row without a value or a node listed twice raises ``ValueError``.
+    """
     out = {}
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        for line, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
             try:
                 node = int(row[0])
             except ValueError:
                 continue  # header
+            if len(row) < 2:
+                raise ValueError(f"observation row {line}: no value for node {node}")
+            if node in out:
+                raise ValueError(f"observation row {line}: node {node} observed twice")
             out[node] = float(row[1])
     return out
 

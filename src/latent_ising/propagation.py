@@ -87,7 +87,7 @@ class BeliefState:
     """
 
     node_beliefs: np.ndarray
-    edge_beliefs: np.ndarray | None
+    edge_beliefs: np.ndarray
     messages: np.ndarray
     constraints: dict = field(default_factory=dict)
 
@@ -154,12 +154,11 @@ class Engine:
         ]
 
     def run(self, constraints=None, schedule: Schedule | None = None,
-            init_messages=None, with_edge_beliefs: bool = True):
+            init_messages=None):
         """Sweep to a fixed point; returns (BeliefState, ConvergenceReport).
 
-        ``with_edge_beliefs=False`` skips pair-belief assembly, which
-        matters in tight experiment loops that only read node beliefs.
-        A synchronous run is ``sweep`` with a single run.
+        A synchronous run is ``sweep`` with a single run.  Constraint keys
+        must be node ids in 0..N-1.
         """
         schedule = schedule or Schedule()
         constraints = dict(constraints or {})
@@ -168,6 +167,8 @@ class Engine:
         pinned = np.zeros(n_nodes, dtype=bool)
         bstar = np.zeros((n_nodes, 2))
         for i, b in constraints.items():
+            if not 0 <= i < n_nodes:
+                raise ValueError(f"node id {i} out of range 0..{n_nodes - 1}")
             vec = np.asarray(b, dtype=float)
             total = vec.sum()
             if vec.shape != (2,) or np.any(vec < 0.0) or total <= 0.0:
@@ -193,9 +194,7 @@ class Engine:
             )
 
         node_beliefs = self.node_beliefs(m[None], pinned[None], bstar[None])[0]
-        edge_beliefs = None
-        if with_edge_beliefs:
-            edge_beliefs = self._edge_beliefs(m, pinned, bstar)
+        edge_beliefs = self.edge_beliefs(m[None], pinned[None], bstar[None])[0]
         state = BeliefState(
             node_beliefs, edge_beliefs,
             m.reshape(self.model.topology.n_edges, 2, 2), constraints,
@@ -242,15 +241,16 @@ class Engine:
                 if gamma:
                     t0 = (1.0 - gamma) * t0 + gamma * m0[s]
                     t1 = (1.0 - gamma) * t1 + gamma * m1[s]
+                # largest change; a NaN change is taken and then kept
                 d = t0 - m0[s]
                 if d < 0.0:
                     d = -d
-                if d > delta:
+                if not d <= delta and delta == delta:
                     delta = d
                 d = t1 - m1[s]
                 if d < 0.0:
                     d = -d
-                if d > delta:
+                if not d <= delta and delta == delta:
                     delta = d
                 m0[s] = t0
                 m1[s] = t1
@@ -259,9 +259,7 @@ class Engine:
                 converged = True
                 break
             if schedule.auto_damp and sweeps % 20 == 0:
-                if sweeps >= 40 and residual > max(100 * tol, 1e-10) \
-                        and residual > 0.93 * plateau_ref:
-                    gamma = 0.5 + 0.5 * gamma  # escalate on a true plateau
+                gamma = float(_escalated(gamma, sweeps, residual, plateau_ref, tol))
                 plateau_ref = residual
         return np.array([m0, m1]).T, converged, sweeps, residual
 
@@ -354,10 +352,7 @@ class Engine:
                 if not live.size:
                     break
             if schedule.auto_damp and sweep % 20 == 0:
-                if sweep >= 40:
-                    # escalate on a true plateau
-                    plateau = (res > max(100 * tol, 1e-10)) & (res > 0.93 * plateau_ref)
-                    gamma = np.where(plateau, 0.5 + 0.5 * gamma, gamma)
+                gamma = _escalated(gamma, sweep, res, plateau_ref, tol)
                 plateau_ref = res
         out[live] = m
         residual[live] = res
@@ -372,33 +367,31 @@ class Engine:
         b /= (b[..., 0] + b[..., 1])[..., None]
         return np.where(np.asarray(pinned, dtype=bool)[..., None], bstar, b)
 
-    def _edge_beliefs(self, m, pinned, bstar):
-        m0, m1 = m[:, 0].tolist(), m[:, 1].tolist()
-        pinned = pinned.tolist()
-        bstar0, bstar1 = bstar[:, 0].tolist(), bstar[:, 1].tolist()
-        edge_beliefs = np.empty((self.model.topology.n_edges, 2, 2))
-        for e in range(self.model.topology.n_edges):
-            # n from i flows through slot 2e+1 (whose source is i), and
-            # n from j through slot 2e
-            ni = self._node_to_factor(m0, m1, pinned, bstar0, bstar1, 2 * e + 1)
-            nj = self._node_to_factor(m0, m1, pinned, bstar0, bstar1, 2 * e)
-            table = self.model.psi[e] * np.outer(ni, nj)
-            edge_beliefs[e] = table / table.sum()
-        return edge_beliefs
+    def edge_beliefs(self, messages, pinned, bstar) -> np.ndarray:
+        """Normalized pair beliefs of R runs, shape (R, n_edges, 2, 2), from
+        messages shaped (R, n_slots, 2).  The factor-bound message along
+        slot s is b_u / m[s ^ 1] with u the slot's source; a pinned u has
+        b_u = b* and floors that divisor as the mirror update does."""
+        pinned = np.asarray(pinned, dtype=bool)
+        b = self.node_beliefs(messages, pinned, bstar)
+        denom = np.take(messages, self._opp_arr, axis=1)
+        floor = np.where(pinned[:, self._src_arr], _FLOOR, 0.0)
+        np.maximum(denom, floor[..., None], out=denom)
+        n = np.take(b, self._src_arr, axis=1) / denom
+        # slot 2e + 1 has source i, slot 2e source j
+        table = self.model.psi * (n[:, 1::2, :, None] * n[:, 0::2, None, :])
+        return table / table.sum(axis=(2, 3), keepdims=True)
 
-    def _node_to_factor(self, m0, m1, pinned, bstar0, bstar1, s):
-        """n message along slot s's reverse direction (source node -> factor)."""
-        u = self.src[s]
-        if pinned[u]:
-            opp = s ^ 1
-            d0, d1 = m0[opp], m1[opp]
-            return (bstar0[u] / (d0 if d0 > _FLOOR else _FLOOR),
-                    bstar1[u] / (d1 if d1 > _FLOOR else _FLOOR))
-        n0, n1 = self.phi0[u], self.phi1[u]
-        for s2 in self.src_in[s]:
-            n0 *= m0[s2]
-            n1 *= m1[s2]
-        return n0, n1
+
+def _escalated(gamma, sweep, residual, plateau_ref, tol):
+    """Damping after the auto-damp check that runs every 20 sweeps: from
+    sweep 40 on, a residual above max(100 tol, 1e-10) that fell by less
+    than 7 % since the last check raises gamma to 0.5 + gamma / 2.
+    Elementwise over runs; ``plateau_ref`` is the last check's residual."""
+    if sweep < 40:
+        return gamma
+    plateau = (residual > max(100 * tol, 1e-10)) & (residual > 0.93 * plateau_ref)
+    return np.where(plateau, 0.5 + 0.5 * gamma, gamma)
 
 
 def _normalized(messages: np.ndarray) -> np.ndarray:
@@ -430,8 +423,11 @@ def impose_observations(model: LatentIsingModel, observed: dict) -> dict:
     """
     if model.encoders is None:
         raise ValueError("model carries no encoders")
+    n_nodes = model.topology.n_nodes
     out = {}
     for i, x in observed.items():
+        if not 0 <= i < n_nodes:
+            raise ValueError(f"node id {i} out of range 0..{n_nodes - 1}")
         lam = model.encoders[i].encode(x)
         out[int(i)] = np.array([1.0 - lam, lam])
     return out

@@ -120,7 +120,7 @@ def reference_decimation(truth, fitted, predictors, replicates, seed,
             for kind, model in models.items():
                 states[kind], reports[kind] = engines[kind].run(
                     impose_observations(model, observed), schedule,
-                    init_messages=warm[kind], with_edge_beliefs=False,
+                    init_messages=warm[kind],
                 )
                 warm[kind] = states[kind].messages
             for name in predictors:

@@ -104,3 +104,18 @@ def test_gen_model_grid_city(tmp_path):
 def test_unknown_topology_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["gen-model", "--topology", "ring", "--out", str(tmp_path / "x.json")])
+
+
+def test_predict_rejects_node_id_out_of_range(tmp_path):
+    truth = tmp_path / "truth.json"
+    fitted = tmp_path / "fitted.json"
+    run("gen-model", "--topology", "pair", "--rho", "0.7", "--seed", "3",
+        "--out", truth)
+    run("fit-lab", "--truth", truth, "--n-train", "501", "--seed", "5",
+        "--out", fitted)
+    obs = tmp_path / "obs.csv"
+    for node in (-1, 2):
+        obs.write_text(f"node,value\n{node},0.9\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--model", str(fitted), "--obs", str(obs)])
+        assert str(exc.value) == f"predict: node id {node} out of range 0..1"

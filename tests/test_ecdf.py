@@ -61,6 +61,8 @@ def test_errors():
         EmpiricalCdf([1.0]).quantile(1.5)
     with pytest.raises(ValueError, match="invalid probability"):
         EmpiricalCdf([1.0]).quantile(-0.1)
+    with pytest.raises(ValueError, match="invalid probability"):
+        EmpiricalCdf([1.0, 2.0]).quantile(np.nan)
 
 
 def test_vectorized_paths():

@@ -5,32 +5,15 @@ from latent_ising import (
     BetaMarginal,
     GraphTopology,
     Schedule,
-    bias,
     decimate,
     fit_from_copula,
     generate_copula,
-    l1_error,
     pair_topology,
     regular_tree_topology,
     sample,
 )
 
 from oracles import reference_decimation
-
-
-def test_l1_error_examples():
-    assert l1_error({"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 4.0}) == 1.0
-    assert l1_error({"a": 3.0}, {"a": 3.0}) == 0.0
-    assert l1_error({0: 0.3}, {0: 0.7}) == pytest.approx(0.4)
-    with pytest.raises(ValueError, match="key mismatch"):
-        l1_error({0: 1.0}, {1: 1.0})
-
-
-def test_bias_examples():
-    assert bias({0: 1.0, 1: 2.0}, {0: 1.0, 1: 2.0}) == 0.0
-    assert bias({0: 1.5, 1: 2.5}, {0: 1.0, 1: 2.0}) == pytest.approx(0.5)
-    with pytest.raises(ValueError, match="key mismatch"):
-        bias({0: 1.0}, {})
 
 
 @pytest.fixture(scope="module")

@@ -17,6 +17,8 @@ from latent_ising.model_io import (
     load_models,
     load_observations_csv,
     load_pairs_csv,
+    model_from_dict,
+    model_to_dict,
     save_copula,
     save_dataset_csv,
     save_models,
@@ -103,6 +105,20 @@ def test_observations_csv(tmp_path):
     path = tmp_path / "obs.csv"
     path.write_text("node,value\n3,0.25\n7,0.5\n")
     assert load_observations_csv(path) == {3: 0.25, 7: 0.5}
+    path.write_text("node,value\n3,0.25\n7,0.5\n3,0.75\n")
+    with pytest.raises(ValueError, match="row 4: node 3 observed twice"):
+        load_observations_csv(path)
+    path.write_text("node,value\n3,0.25\n7\n")
+    with pytest.raises(ValueError, match="row 3: no value for node 7"):
+        load_observations_csv(path)
+
+
+def test_unknown_encoder_kind_rejected(small_fit):
+    _, fitted, _ = small_fit
+    payload = model_to_dict(fitted)
+    payload["nodes"][1]["encoder"] = "rank"
+    with pytest.raises(ValueError, match="node 1: unknown encoder kind 'rank'"):
+        model_from_dict(payload)
 
 
 def test_pairs_csv(tmp_path):

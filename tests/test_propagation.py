@@ -176,6 +176,15 @@ def test_hard_constraint_with_message_flooring():
         np.testing.assert_allclose(
             state.node_beliefs[i], node_marginal(fitted, i), atol=1e-6
         )
+    # pair beliefs at the pinned nodes put no mass on the excluded state
+    pinned_edges = [e for e, (i, j) in enumerate(model.topology.edges)
+                    if {i, j} & set(constraints)]
+    assert pinned_edges
+    for e in pinned_edges:
+        i, j = model.topology.edges[e]
+        np.testing.assert_allclose(
+            state.edge_beliefs[e], pair_marginal(fitted, i, j), atol=1e-6
+        )
 
 
 def test_pair_belief_compatibility_at_fixed_point():
@@ -257,12 +266,13 @@ def test_batched_sweep_equals_single_runs():
         init, pinned, bstar, schedule
     )
     beliefs = engine.node_beliefs(messages, pinned, bstar)
+    pairs = engine.edge_beliefs(messages, pinned, bstar)
     for r in range(n_runs):
         constraints = {int(i): bstar[r, i] for i in np.flatnonzero(pinned[r])}
-        state, report = engine.run(constraints, schedule, init_messages=init[r],
-                                   with_edge_beliefs=False)
+        state, report = engine.run(constraints, schedule, init_messages=init[r])
         np.testing.assert_array_equal(messages[r], state.messages.reshape(-1, 2))
         np.testing.assert_array_equal(beliefs[r], state.node_beliefs)
+        np.testing.assert_array_equal(pairs[r], state.edge_beliefs)
         assert converged[r] == report.converged
         assert sweeps[r] == report.sweeps
         assert residual[r] == report.residual
@@ -272,6 +282,23 @@ def test_batched_sweep_equals_single_runs():
     assert not np.array_equal(
         engine.sweep(init, pinned, bstar, undamped)[0], messages
     )
+
+
+@pytest.mark.parametrize("mode", ["sequential", "synchronous"])
+def test_underflowing_node_product_is_not_converged(mode):
+    # the hub's product of 1099 messages near 1/2 underflows to 0, so its
+    # outgoing messages are 0/0; a NaN change must never pass as converged
+    n = 1101
+    edges = tuple((0, i) for i in range(1, n))
+    model = assemble(GraphTopology(n, edges),
+                     [PairwiseMarginal(0.5, 0.5, 0.3)] * (n - 1), 1.0)
+    with np.errstate(invalid="ignore"):
+        state, report = mbp_run(model, {5: np.array([0.2, 0.8])},
+                                Schedule(mode=mode, max_sweeps=3))
+    assert not report.converged
+    assert report.sweeps == 3
+    assert np.isnan(report.residual)
+    assert not np.isfinite(state.node_beliefs).all()
 
 
 def test_batched_sweep_rejects_sequential_schedule():
@@ -315,6 +342,19 @@ def test_impose_observations_median_step():
     np.testing.assert_array_equal(cons[0], [0.0, 1.0])
     cons = impose_observations(model, {0: enc.threshold - 0.1})
     np.testing.assert_array_equal(cons[0], [1.0, 0.0])
+
+
+def test_node_ids_out_of_range_rejected():
+    rng = np.random.default_rng(14)
+    encoders = [build_encoder("cdf", rng.uniform(size=101)) for _ in range(3)]
+    ms = [PairwiseMarginal(enc.p1, enc.p1, 0.3) for enc in encoders[:2]]
+    model = assemble(GraphTopology(3, ((0, 1), (1, 2))), ms, 1.0,
+                     encoders=encoders)
+    for node in (-1, 3):
+        with pytest.raises(ValueError, match=f"node id {node} out of range"):
+            impose_observations(model, {node: 0.5})
+        with pytest.raises(ValueError, match=f"node id {node} out of range"):
+            mbp_run(model, {node: np.array([0.5, 0.5])})
 
 
 def test_predict_contextless_and_extremes():
