@@ -11,7 +11,7 @@ probe stays within tau, found by bisection on [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil, log2
 
 import numpy as np
@@ -21,6 +21,8 @@ from .propagation import Engine, Schedule
 
 _JITTER = 1e-3
 _JITTER_SEED = 181711
+# pure updates: the probe looks for the instabilities that damping would hide
+PROBE_SCHEDULE = Schedule(auto_damp=False)
 
 __all__ = ["AlphaSearchConfig", "deviation", "calibrate"]
 
@@ -29,7 +31,7 @@ __all__ = ["AlphaSearchConfig", "deviation", "calibrate"]
 class AlphaSearchConfig:
     precision: float = 0.01
     tau: float = 0.05
-    schedule: Schedule = field(default_factory=Schedule)
+    schedule: Schedule = PROBE_SCHEDULE
 
     def __post_init__(self):
         if self.precision <= 0.0:
@@ -47,11 +49,13 @@ def _jittered_init(n_edges: int) -> np.ndarray:
     return init
 
 
-def deviation(model: LatentIsingModel, schedule: Schedule | None = None) -> float:
+def deviation(model: LatentIsingModel,
+              schedule: Schedule = PROBE_SCHEDULE) -> float:
     """Distance of the no-observation BP output from the node marginals.
 
-    Runs BP from deterministically jittered messages; returns
-    max_i |b_i(1) - p_i1|, or +inf when the run does not converge.
+    Runs BP from deterministically jittered messages, by default with pure
+    updates (``PROBE_SCHEDULE``); returns max_i |b_i(1) - p_i1|, or +inf
+    when the run does not converge.
     """
     engine = Engine(model)
     init = _jittered_init(model.topology.n_edges)

@@ -97,7 +97,10 @@ def _cmd_sample(args):
 
 
 def _cmd_fit(args):
-    pairs = load_pairs_csv(args.pairs)
+    try:
+        pairs = load_pairs_csv(args.pairs)
+    except ValueError as exc:
+        raise SystemExit(f"fit: {exc}")
     n_nodes = 1 + max(max(i, j) for i, j in pairs)
     node_samples = [[] for _ in range(n_nodes)]
     for (i, j), (xi, xj) in pairs.items():

@@ -161,7 +161,7 @@ def generate_copula(
         prec[i, j] = prec[j, i] = float(value)
 
     for _ in range(max_repair_steps):
-        if np.linalg.eigvalsh(prec)[0] > 0.0:
+        if _positive_definite(prec):
             break
         off = np.abs(np.triu(prec, k=1))
         i, j = np.unravel_index(np.argmax(off), off.shape)
@@ -170,23 +170,37 @@ def generate_copula(
     else:
         raise ValueError("positive-definite repair did not terminate")
 
-    cov = np.linalg.inv(prec)
-    scale = 1.0 / np.sqrt(np.diag(cov))
-    corr = cov * np.outer(scale, scale)
-
     if marginals is None:
         marginals = tuple(BetaMarginal(1.0, 1.0) for _ in range(n))
     else:
         marginals = tuple(marginals)
         if len(marginals) != n:
             raise ValueError("one marginal required per node")
+    return _copula_from_precision(topology, prec, marginals, always_observed)
 
+
+def _positive_definite(prec: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(prec)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _copula_from_precision(topology, prec, marginals,
+                           always_observed) -> CopulaModel:
+    """The copula of a precision matrix, with its covariance and correlation;
+    a precision matrix that is not positive definite raises ``ValueError``."""
+    if not _positive_definite(prec):
+        raise ValueError("precision matrix is not positive definite")
+    cov = np.linalg.inv(prec)
+    scale = 1.0 / np.sqrt(np.diag(cov))
     return CopulaModel(
         topology=topology,
         precision=prec,
         covariance=cov,
-        correlation=corr,
-        marginals=marginals,
+        correlation=cov * np.outer(scale, scale),
+        marginals=tuple(marginals),
         always_observed=tuple(int(i) for i in always_observed),
     )
 

@@ -45,13 +45,10 @@ LATENT_PREDICTORS = {
 }
 BASELINE_PREDICTORS = ("exact", "knn", "median")
 
-# Prediction-grade schedule for experiment loops: vectorized synchronous
-# sweeps, a tolerance far below the error scale of the L1 metrics, and
-# plateau-triggered damping so oscillating runs settle instead of burning
-# the sweep budget.
-EXPERIMENT_SCHEDULE = Schedule(
-    max_sweeps=120, tol=1e-5, mode="synchronous", auto_damp=True
-)
+# Prediction-grade schedule for experiment loops: a tolerance far below the
+# error scale of the L1 metrics, and plateau-triggered damping so
+# oscillating runs settle instead of burning the sweep budget.
+EXPERIMENT_SCHEDULE = Schedule(max_sweeps=120, tol=1e-5, auto_damp=True)
 
 
 def _pair_prediction_loss(ui, uj, xi, xj, cdf_i, cdf_j, m) -> float:
@@ -208,8 +205,8 @@ def decimate(
     exact predictor and the decoders each run once per step on arrays with
     a leading replicate axis.  Each replicate still warm-starts from its own
     previous messages and stops at its own convergence sweep, so the table
-    is the one a replicate-by-replicate loop produces.  The schedule must
-    therefore be synchronous.
+    is the one a replicate-by-replicate loop of one-run ``Engine.sweep``
+    calls produces, whatever the size of the graph.
     """
     if isinstance(fitted, LatentIsingModel):
         fitted = [fitted]
@@ -243,11 +240,6 @@ def decimate(
 
     if schedule is None:
         schedule = EXPERIMENT_SCHEDULE
-    if schedule.mode != "synchronous":
-        raise ValueError(
-            "decimate steps all replicates together and needs a "
-            "synchronous schedule"
-        )
 
     n = truth.n_nodes
     always = list(truth.always_observed)

@@ -9,7 +9,13 @@ import json
 import numpy as np
 
 from .coding import ENCODER_KINDS
-from .copula_lab import BetaMarginal, CopulaModel, Dataset, EmpiricalMarginal
+from .copula_lab import (
+    BetaMarginal,
+    CopulaModel,
+    Dataset,
+    EmpiricalMarginal,
+    _copula_from_precision,
+)
 from .ecdf import EmpiricalCdf
 from .ising import GraphTopology, LatentIsingModel, assemble
 from .pairwise_em import PairwiseMarginal
@@ -116,20 +122,11 @@ def copula_from_dict(payload: dict) -> CopulaModel:
     topology = GraphTopology(
         int(payload["n_nodes"]), tuple(tuple(e) for e in payload["edges"])
     )
-    prec = np.asarray(payload["precision"], dtype=float)
-    if np.linalg.eigvalsh(prec)[0] <= 0.0:
-        raise ValueError("precision matrix is not positive definite")
-    cov = np.linalg.inv(prec)
-    scale = 1.0 / np.sqrt(np.diag(cov))
-    corr = cov * np.outer(scale, scale)
-    marginals = tuple(_marginal_from_spec(d) for d in payload["marginals"])
-    return CopulaModel(
-        topology=topology,
-        precision=prec,
-        covariance=cov,
-        correlation=corr,
-        marginals=marginals,
-        always_observed=tuple(int(i) for i in payload.get("always_observed", ())),
+    return _copula_from_precision(
+        topology,
+        np.asarray(payload["precision"], dtype=float),
+        [_marginal_from_spec(d) for d in payload["marginals"]],
+        payload.get("always_observed", ()),
     )
 
 
@@ -162,43 +159,70 @@ def load_dataset_csv(path) -> Dataset:
     return Dataset(values=values)
 
 
-def load_observations_csv(path) -> dict:
-    """CSV rows of (node id, value); a header row is skipped if present.
+def _csv_rows(path, what: str, parse_id):
+    """(line, id, row) for each non-empty row of a CSV file.
 
-    A row without a value or a node listed twice raises ``ValueError``.
+    Only the first row may be a header: a later row whose id does not parse
+    raises ``ValueError`` naming its line.
     """
-    out = {}
     with open(path, newline="") as fh:
+        header_allowed = True
         for line, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
             try:
-                node = int(row[0])
+                key = parse_id(row[0])
             except ValueError:
-                continue  # header
-            if len(row) < 2:
-                raise ValueError(f"observation row {line}: no value for node {node}")
-            if node in out:
-                raise ValueError(f"observation row {line}: node {node} observed twice")
-            out[node] = float(row[1])
+                if header_allowed:
+                    header_allowed = False
+                    continue
+                raise ValueError(
+                    f"{what} row {line}: malformed id {row[0]!r}"
+                ) from None
+            header_allowed = False
+            yield line, key, row
+
+
+def _values(row, what: str, line: int) -> list:
+    try:
+        return [float(v) for v in row]
+    except ValueError:
+        raise ValueError(f"{what} row {line}: malformed value in {row!r}") from None
+
+
+def load_observations_csv(path) -> dict:
+    """CSV rows of (node id, value); the first row may be a header.
+
+    A malformed row, a row without a value or a node listed twice raises
+    ``ValueError`` naming the row.
+    """
+    out = {}
+    for line, node, row in _csv_rows(path, "observation", int):
+        if len(row) < 2:
+            raise ValueError(f"observation row {line}: no value for node {node}")
+        if node in out:
+            raise ValueError(f"observation row {line}: node {node} observed twice")
+        out[node] = _values(row[1:2], "observation", line)[0]
     return out
 
 
+def _edge_id(text: str) -> tuple[int, int]:
+    i_str, j_str = text.split("-")
+    return int(i_str), int(j_str)
+
+
 def load_pairs_csv(path) -> dict:
-    """CSV rows of (edge id 'i-j', x_i, x_j) grouped per edge."""
+    """CSV rows of (edge id 'i-j', x_i, x_j) grouped per edge; the first row
+    may be a header.  A malformed or short row raises ``ValueError`` naming
+    the row."""
     grouped: dict[tuple[int, int], tuple[list, list]] = {}
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            try:
-                i_str, j_str = row[0].split("-")
-                i, j = int(i_str), int(j_str)
-            except ValueError:
-                continue  # header
-            xi, xj = grouped.setdefault((i, j), ([], []))
-            xi.append(float(row[1]))
-            xj.append(float(row[2]))
+    for line, (i, j), row in _csv_rows(path, "pair", _edge_id):
+        if len(row) < 3:
+            raise ValueError(f"pair row {line}: edge {i}-{j} needs two values")
+        x_i, x_j = _values(row[1:3], "pair", line)
+        xi, xj = grouped.setdefault((i, j), ([], []))
+        xi.append(x_i)
+        xj.append(x_j)
     if not grouped:
         raise ValueError("no pair observations found")
     return {

@@ -69,13 +69,14 @@ def reference_decimation(truth, fitted, predictors, replicates, seed,
     """Replicate-by-replicate decimation built from the public pieces.
 
     Each replicate reveals its nodes one at a time; after every reveal each
-    fitted model runs ``Engine.run`` warm-started from that replicate's
-    previous messages, with constraints from ``impose_observations``, and
-    ``predict`` decodes the hidden nodes.  Seeds, reveal orders and the
-    order of every sum follow ``decimate``, so the returned rows are what
-    ``DecimationResult.table()`` should give.
+    fitted model runs a one-run ``Engine.sweep`` warm-started from that
+    replicate's previous messages, with constraints from
+    ``impose_observations``, and ``predict`` decodes the hidden nodes.
+    Seeds, reveal orders and the order of every sum follow ``decimate``, so
+    the returned rows are what ``DecimationResult.table()`` should give.
     """
     from latent_ising import (
+        BeliefState,
         Engine,
         exact_predictor,
         impose_observations,
@@ -107,7 +108,7 @@ def reference_decimation(truth, fitted, predictors, replicates, seed,
     for rep in range(replicates):
         outcome = outcomes[rep]
         reveal = always + [int(i) for i in order_rng.permutation(rest)]
-        warm = {kind: None for kind in models}
+        warm = {kind: np.full((1, e.n_slots, 2), 0.5) for kind, e in engines.items()}
         for step in range(len(always), n):
             observed = {i: float(outcome[i]) for i in reveal[:step]}
             hidden = [i for i in range(n) if i not in observed]
@@ -116,19 +117,26 @@ def reference_decimation(truth, fitted, predictors, replicates, seed,
                 optimal = exact_predictor(truth, observed)
             else:
                 optimal = median_predictor(truth, hidden)
-            states, reports = {}, {}
+            states, converged = {}, {}
             for kind, model in models.items():
-                states[kind], reports[kind] = engines[kind].run(
-                    impose_observations(model, observed), schedule,
-                    init_messages=warm[kind],
-                )
-                warm[kind] = states[kind].messages
+                constraints = impose_observations(model, observed)
+                pinned = np.zeros((1, n), dtype=bool)
+                bstar = np.zeros((1, n, 2))
+                for i, vec in constraints.items():
+                    pinned[0, i] = True
+                    bstar[0, i] = vec / vec.sum()
+                engine = engines[kind]
+                warm[kind], done, _, _ = engine.sweep(warm[kind], pinned, bstar,
+                                                      schedule)
+                beliefs = engine.node_beliefs(warm[kind], pinned, bstar)[0]
+                states[kind] = BeliefState(beliefs, None, warm[kind][0], constraints)
+                converged[kind] = bool(done[0])
             for name in predictors:
                 nonconv = False
                 if name in LATENT_PREDICTORS:
                     kind, decoder = LATENT_PREDICTORS[name]
                     preds = predict(models[kind], states[kind], decoder)
-                    nonconv = not reports[kind].converged
+                    nonconv = not converged[kind]
                 elif name == "exact":
                     preds = optimal
                 elif name == "median":

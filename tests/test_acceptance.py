@@ -351,7 +351,7 @@ def test_criterion_10_alpha_calibration():
     )
     city, _ = fit_from_copula(truth, "cdf", n_train=10_000, seed=131)
     config = AlphaSearchConfig(
-        schedule=Schedule(mode="synchronous", max_sweeps=4000, tol=1e-9)
+        schedule=Schedule(max_sweeps=4000, tol=1e-9, auto_damp=False)
     )
     city_alpha = calibrate(city, config)
 

@@ -119,3 +119,11 @@ def test_predict_rejects_node_id_out_of_range(tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["predict", "--model", str(fitted), "--obs", str(obs)])
         assert str(exc.value) == f"predict: node id {node} out of range 0..1"
+
+
+def test_fit_rejects_malformed_pairs_csv(tmp_path):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("edge,x_i,x_j\n0-1,0.1,0.2\n0-1,0.3\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--pairs", str(pairs), "--out", str(tmp_path / "fitted.json")])
+    assert str(exc.value) == "fit: pair row 3: edge 0-1 needs two values"

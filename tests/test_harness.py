@@ -181,21 +181,13 @@ def test_decimation_matches_per_replicate_reference_short_budget():
     topo = regular_tree_topology(3, 16)
     truth = generate_copula(topo, seed=9)
     fitted, _ = fit_from_copula(truth, "cdf", n_train=1501, seed=10)
-    schedule = Schedule(max_sweeps=100, tol=1e-9, mode="synchronous",
-                        auto_damp=True)
+    schedule = Schedule(max_sweeps=100, tol=1e-9, auto_damp=True)
     kwargs = dict(predictors=["inverse-cdf", "bayes-quad", "exact"],
                   replicates=12, seed=11, schedule=schedule)
     rows = decimate(truth, fitted, **kwargs).table()
     # the budget stops some runs but not all, and damping escalates
     ratios = {r["nonconverged_ratio"] for r in rows}
     assert any(0.0 < ratio < 1.0 for ratio in ratios)
-    undamped = Schedule(max_sweeps=100, tol=1e-9, mode="synchronous")
+    undamped = Schedule(max_sweeps=100, tol=1e-9, auto_damp=False)
     assert decimate(truth, fitted, **{**kwargs, "schedule": undamped}).table() != rows
     _assert_matches_reference(rows, reference_decimation(truth, fitted, **kwargs))
-
-
-def test_decimation_rejects_sequential_schedule(pair_setup):
-    truth, fitted_cdf, _, _ = pair_setup
-    with pytest.raises(ValueError, match="synchronous"):
-        decimate(truth, fitted_cdf, ["inverse-cdf"], replicates=2, seed=0,
-                 schedule=Schedule())

@@ -111,6 +111,21 @@ def test_observations_csv(tmp_path):
     path.write_text("node,value\n3,0.25\n7\n")
     with pytest.raises(ValueError, match="row 3: no value for node 7"):
         load_observations_csv(path)
+    path.write_text("3,0.25\n7,0.5\n")  # no header
+    assert load_observations_csv(path) == {3: 0.25, 7: 0.5}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("node,value\n0,0.2\n1.5,0.3\n2,0.4\n", "row 3: malformed id '1.5'"),
+    ("node,value\n0,0.2\nnode,value\n", "row 3: malformed id 'node'"),
+    ("node,value\n0,0.2\n\nx3,0.5\n", "row 4: malformed id 'x3'"),
+    ("node,value\n0,0.2\n1,high\n", "row 3: malformed value"),
+])
+def test_observations_csv_rejects_malformed_rows(tmp_path, text, message):
+    path = tmp_path / "obs.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"observation {message}"):
+        load_observations_csv(path)
 
 
 def test_unknown_encoder_kind_rejected(small_fit):
@@ -128,3 +143,16 @@ def test_pairs_csv(tmp_path):
     assert set(pairs) == {(0, 1), (1, 2)}
     np.testing.assert_allclose(pairs[(0, 1)][0], [0.1, 0.3])
     np.testing.assert_allclose(pairs[(1, 2)][1], [0.6])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("edge,x_i,x_j\n0-1,0.1,0.2\n0-1,0.3\n", "row 3: edge 0-1 needs two values"),
+    ("edge,x_i,x_j\n0-1,0.1,0.2\n0_1,0.3,0.4\n", "row 3: malformed id '0_1'"),
+    ("edge,x_i,x_j\n0-1,0.1,0.2\nedge,x_i,x_j\n", "row 3: malformed id 'edge'"),
+    ("0-1,0.1,0.2\n0-1,0.3,?\n", "row 2: malformed value"),
+])
+def test_pairs_csv_rejects_malformed_rows(tmp_path, text, message):
+    path = tmp_path / "pairs.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"pair {message}"):
+        load_pairs_csv(path)

@@ -17,6 +17,7 @@ from latent_ising import (
     predict,
 )
 from latent_ising.coding import bayes_quad_level
+from latent_ising.propagation import _LIST_MAX_SLOTS
 
 from oracles import (
     ipf_fit,
@@ -255,8 +256,7 @@ def test_batched_sweep_equals_single_runs():
     model = assemble(GraphTopology(4, edges),
                      [PairwiseMarginal(0.5, 0.5, 0.499)] * 4, 1.0)
     engine = Engine(model)
-    schedule = Schedule(mode="synchronous", max_sweeps=80, tol=1e-10,
-                        auto_damp=True)
+    schedule = Schedule(max_sweeps=80, tol=1e-10, auto_damp=True)
     pinned = rng.random((n_runs, 4)) < 0.3
     b1 = rng.integers(1, 64, size=(n_runs, 4)) / 64.0  # sums stay exact
     bstar = np.stack([1.0 - b1, b1], axis=-1)
@@ -268,45 +268,135 @@ def test_batched_sweep_equals_single_runs():
     beliefs = engine.node_beliefs(messages, pinned, bstar)
     pairs = engine.edge_beliefs(messages, pinned, bstar)
     for r in range(n_runs):
-        constraints = {int(i): bstar[r, i] for i in np.flatnonzero(pinned[r])}
-        state, report = engine.run(constraints, schedule, init_messages=init[r])
-        np.testing.assert_array_equal(messages[r], state.messages.reshape(-1, 2))
-        np.testing.assert_array_equal(beliefs[r], state.node_beliefs)
-        np.testing.assert_array_equal(pairs[r], state.edge_beliefs)
-        assert converged[r] == report.converged
-        assert sweeps[r] == report.sweeps
-        assert residual[r] == report.residual
+        one = slice(r, r + 1)
+        m, conv, sw, res = engine.sweep(init[one], pinned[one], bstar[one], schedule)
+        np.testing.assert_array_equal(messages[one], m)
+        np.testing.assert_array_equal(
+            beliefs[one], engine.node_beliefs(m, pinned[one], bstar[one]))
+        np.testing.assert_array_equal(
+            pairs[one], engine.edge_beliefs(m, pinned[one], bstar[one]))
+        assert converged[r] == conv[0]
+        assert sweeps[r] == sw[0]
+        assert residual[r] == res[0]
     assert len(set(sweeps[converged].tolist())) > 1  # staggered stops
     assert not converged.all()
-    undamped = Schedule(mode="synchronous", max_sweeps=80, tol=1e-10)
+    undamped = Schedule(max_sweeps=80, tol=1e-10, auto_damp=False)
     assert not np.array_equal(
         engine.sweep(init, pinned, bstar, undamped)[0], messages
     )
 
 
-@pytest.mark.parametrize("mode", ["sequential", "synchronous"])
-def test_underflowing_node_product_is_not_converged(mode):
+def _pinned_query(rng, n):
+    """Random pins on about 30 % of the nodes, as (constraints, pinned, bstar)."""
+    pinned = rng.random(n) < 0.3
+    b1 = rng.integers(1, 64, size=n) / 64.0  # sums stay exact
+    bstar = np.where(pinned[:, None], np.stack([1.0 - b1, b1], axis=-1), 0.0)
+    constraints = {int(i): bstar[i] for i in np.flatnonzero(pinned)}
+    return constraints, pinned, bstar
+
+
+@pytest.mark.parametrize("n_slots", [_LIST_MAX_SLOTS, _LIST_MAX_SLOTS + 2])
+def test_run_picks_the_traversal_from_the_graph_size(n_slots):
+    # at or below the constant Engine.run is the list traversal, above it a
+    # one-run Engine.sweep, bit for bit
+    rng = np.random.default_rng(15)
+    schedule = Schedule()
+    for _ in range(5):
+        engine = Engine(_random_tree_model(rng, n_slots // 2 + 1))
+        assert engine.n_slots == n_slots
+        constraints, pinned, bstar = _pinned_query(rng, engine.model.topology.n_nodes)
+        init = rng.uniform(0.1, 0.9, size=(engine.n_slots, 2))
+        state, report = engine.run(constraints, schedule, init_messages=init)
+        if n_slots <= _LIST_MAX_SLOTS:
+            m, converged, sweeps, residual = engine._sweep_sequential(
+                init / init.sum(axis=1, keepdims=True), pinned.tolist(),
+                bstar[:, 0].tolist(), bstar[:, 1].tolist(), schedule,
+            )
+        else:
+            m, converged, sweeps, residual = (
+                x[0] for x in engine.sweep(init[None], pinned[None], bstar[None],
+                                           schedule)
+            )
+        np.testing.assert_array_equal(state.messages.reshape(-1, 2), m)
+        beliefs = engine.node_beliefs(m[None], pinned[None], bstar[None])[0]
+        np.testing.assert_array_equal(state.node_beliefs, beliefs)
+        assert (report.converged, report.sweeps, report.residual) == (
+            converged, sweeps, residual)
+
+
+def test_traversals_agree_on_trees():
+    rng = np.random.default_rng(16)
+    schedule = Schedule()
+    for n in (2, 7, _LIST_MAX_SLOTS // 2 + 1, 40):
+        engine = Engine(_random_tree_model(rng, n))
+        _, pinned, bstar = _pinned_query(rng, n)
+        init = np.full((engine.n_slots, 2), 0.5)
+        listed, list_converged, _, _ = engine._sweep_sequential(
+            init, pinned.tolist(), bstar[:, 0].tolist(), bstar[:, 1].tolist(),
+            schedule,
+        )
+        swept, sweep_converged, _, _ = engine.sweep(
+            init[None], pinned[None], bstar[None], schedule
+        )
+        assert list_converged and sweep_converged[0]
+        np.testing.assert_allclose(
+            engine.node_beliefs(listed[None], pinned[None], bstar[None]),
+            engine.node_beliefs(swept, pinned[None], bstar[None]),
+            atol=1e-8,
+        )
+
+
+def test_plateau_damping_is_the_default_on_large_loopy_graphs():
+    # strongly anticorrelated 5x5 grid: synchronous pure updates oscillate
+    # with period 2, plateau damping settles them
+    k = 5
+    rows = [(r * k + c, r * k + c + 1) for r in range(k) for c in range(k - 1)]
+    cols = [(r * k + c, (r + 1) * k + c) for r in range(k - 1) for c in range(k)]
+    edges = tuple(rows + cols)
+    model = assemble(GraphTopology(k * k, edges),
+                     [PairwiseMarginal(0.5, 0.5, 0.01)] * len(edges), 1.0)
+    engine = Engine(model)
+    assert engine.n_slots > _LIST_MAX_SLOTS
+    init = _random_init(np.random.default_rng(1), len(edges))
+    constraints = {0: np.array([0.3, 0.7])}
+    _, pure = engine.run(constraints, Schedule(max_sweeps=1000, auto_damp=False),
+                         init_messages=init)
+    state, damped = engine.run(constraints, Schedule(max_sweeps=1000),
+                               init_messages=init)
+    assert not pure.converged
+    assert damped.converged and damped.sweeps > 40
+    np.testing.assert_array_equal(state.node_beliefs[0], constraints[0])
+
+
+@pytest.mark.parametrize("kernel", ["sequential", "synchronous"])
+def test_underflowing_node_product_is_not_converged(kernel):
     # the hub's product of 1099 messages near 1/2 underflows to 0, so its
     # outgoing messages are 0/0; a NaN change must never pass as converged
     n = 1101
     edges = tuple((0, i) for i in range(1, n))
     model = assemble(GraphTopology(n, edges),
                      [PairwiseMarginal(0.5, 0.5, 0.3)] * (n - 1), 1.0)
-    with np.errstate(invalid="ignore"):
-        state, report = mbp_run(model, {5: np.array([0.2, 0.8])},
-                                Schedule(mode=mode, max_sweeps=3))
-    assert not report.converged
-    assert report.sweeps == 3
-    assert np.isnan(report.residual)
-    assert not np.isfinite(state.node_beliefs).all()
-
-
-def test_batched_sweep_rejects_sequential_schedule():
-    model = _random_tree_model(np.random.default_rng(13), 4)
     engine = Engine(model)
-    with pytest.raises(ValueError, match="synchronous"):
-        engine.sweep(np.full((1, engine.n_slots, 2), 0.5), np.zeros((1, 4), bool),
-                     np.zeros((1, 4, 2)), Schedule())
+    pinned = np.zeros(n, dtype=bool)
+    pinned[5] = True
+    bstar = np.zeros((n, 2))
+    bstar[5] = [0.2, 0.8]
+    schedule = Schedule(max_sweeps=3)
+    with np.errstate(invalid="ignore"):
+        if kernel == "sequential":  # the list traversal, called directly
+            m, converged, sweeps, residual = engine._sweep_sequential(
+                np.full((engine.n_slots, 2), 0.5), pinned.tolist(),
+                bstar[:, 0].tolist(), bstar[:, 1].tolist(), schedule,
+            )
+            beliefs = engine.node_beliefs(m[None], pinned[None], bstar[None])[0]
+        else:
+            state, report = engine.run({5: bstar[5]}, schedule)
+            converged, sweeps = report.converged, report.sweeps
+            residual, beliefs = report.residual, state.node_beliefs
+    assert not converged
+    assert sweeps == 3
+    assert np.isnan(residual)
+    assert not np.isfinite(beliefs).all()
 
 
 # --- observation handling ----------------------------------------------------
