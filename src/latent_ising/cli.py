@@ -182,7 +182,10 @@ def _cmd_decimate(args):
     for path in args.fitted.split(","):
         fitted.extend(load_models(path))
     predictors = args.predictors.split(",")
-    history = load_dataset_csv(args.history) if args.history else None
+    try:
+        history = load_dataset_csv(args.history) if args.history else None
+    except ValueError as exc:
+        raise SystemExit(f"decimate: {exc}")
     result = decimate(
         truth,
         fitted,

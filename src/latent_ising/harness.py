@@ -62,7 +62,7 @@ def _pair_prediction_loss(ui, uj, xi, xj, cdf_i, cdf_j, m) -> float:
     return 0.5 * float(err_i + err_j)
 
 
-def _fit_edge_predictive(pair, enc_i, enc_j, max_iter, tol, patience=2):
+def _fit_edge_predictive(pair, enc_i, enc_j, codes, max_iter, tol, patience=2):
     """EM with predictive early stopping.
 
     The latent pair family cannot represent the dependence of typical
@@ -70,14 +70,15 @@ def _fit_edge_predictive(pair, enc_i, enc_j, max_iter, tol, patience=2):
     a Frechet corner with near-deterministic couplings.  Each EM iterate is
     therefore scored by the experiment's own metric, the L1 error of
     quantile-decoded pairwise predictions on the training pairs, and the
-    best-scoring iterate is kept.
+    best-scoring iterate is kept.  ``codes`` is the encoded pair
+    ``(enc_i.encode(pair.xi), enc_j.encode(pair.xj))``.
     """
-    ui = np.asarray(enc_i.encode(pair.xi), dtype=float)
-    uj = np.asarray(enc_j.encode(pair.xj), dtype=float)
+    ui, uj = codes
     best = None
     best_loss = np.inf
     worse = 0
-    for m in em_iterates(pair, enc_i, enc_j, max_iter=max_iter, tol=tol):
+    for m in em_iterates(pair, enc_i, enc_j, max_iter=max_iter, tol=tol,
+                         codes=codes):
         loss = _pair_prediction_loss(ui, uj, pair.xi, pair.xj,
                                      enc_i.cdf, enc_j.cdf, m)
         if loss < best_loss:
@@ -101,8 +102,9 @@ def fit_from_copula(
 ) -> tuple[LatentIsingModel, Dataset]:
     """Draw a training set from the truth model and fit the latent model.
 
-    Every edge is fitted by EM on the n_train paired columns; the training
-    dataset is returned as well (it doubles as k-NN history).
+    Every edge is fitted by EM on the n_train paired columns; each column
+    is encoded once and its codes are shared by the edges at that node.
+    The training dataset is returned as well (it doubles as k-NN history).
 
     ``em_select`` chooses the iterate kept per edge: ``"prediction"``
     (default) keeps the one with the best pairwise prediction loss, which
@@ -117,18 +119,23 @@ def fit_from_copula(
     encoders = [
         build_encoder(encoder_kind, columns[:, i]) for i in range(truth.n_nodes)
     ]
+    codes = [
+        np.asarray(enc.encode(columns[:, i]), dtype=float)
+        for i, enc in enumerate(encoders)
+    ]
     marginals = []
     for i, j in truth.topology.edges:
         pair = PairSamples(columns[:, i], columns[:, j])
         if em_select == "prediction":
             marginals.append(
                 _fit_edge_predictive(pair, encoders[i], encoders[j],
-                                     em_max_iter, em_tol)
+                                     (codes[i], codes[j]), em_max_iter, em_tol)
             )
         else:
             marginals.append(
                 em_fit(pair, encoders[i], encoders[j],
-                       max_iter=em_max_iter, tol=em_tol)
+                       max_iter=em_max_iter, tol=em_tol,
+                       codes=(codes[i], codes[j]))
             )
     model = assemble(truth.topology, marginals, alpha, encoders=encoders)
     return model, data

@@ -149,14 +149,29 @@ def save_dataset_csv(dataset: Dataset, path):
 
 
 def load_dataset_csv(path) -> Dataset:
+    """A header row naming the nodes, then one row of values per outcome.
+
+    A malformed cell or a row of the wrong width raises ``ValueError``
+    naming its line.
+    """
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader if row]
-    values = np.asarray(rows, dtype=float)
-    if values.ndim != 2 or values.shape[1] != len(header):
-        raise ValueError("malformed dataset CSV")
-    return Dataset(values=values)
+        header = next(reader, None)
+        if not header:
+            raise ValueError("dataset CSV has no header row")
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(
+                    f"dataset row {line}: {len(row)} values, "
+                    f"expected {len(header)}"
+                )
+            rows.append(_values(row, "dataset", line))
+    if not rows:
+        raise ValueError("dataset CSV has no outcomes")
+    return Dataset(values=np.asarray(rows, dtype=float))
 
 
 def _csv_rows(path, what: str, parse_id):

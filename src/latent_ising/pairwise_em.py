@@ -84,9 +84,12 @@ class PairwiseMarginal:
             raise ValueError("negative cell probability")
 
 
-def _cell_products(samples: PairSamples, enc_i, enc_j):
-    ui = np.asarray(enc_i.encode(samples.xi), dtype=float)
-    uj = np.asarray(enc_j.encode(samples.xj), dtype=float)
+def _cell_products(samples: PairSamples, enc_i, enc_j, codes=None):
+    if codes is None:
+        codes = (enc_i.encode(samples.xi), enc_j.encode(samples.xj))
+    ui, uj = (np.asarray(u, dtype=float) for u in codes)
+    if ui.shape != samples.xi.shape or uj.shape != samples.xj.shape:
+        raise ValueError("codes must have the shape of the samples")
     # a[s_i][s_j][k] = Lambda_i^{s_i}(x_i^k) * Lambda_j^{s_j}(x_j^k)
     return np.array([[(1 - ui) * (1 - uj), (1 - ui) * uj], [ui * (1 - uj), ui * uj]])
 
@@ -103,13 +106,17 @@ def em_iterates(
     init: float | None = None,
     max_iter: int = 500,
     tol: float = 1e-9,
+    *,
+    codes=None,
 ):
     """Yield the EM trajectory: the initial marginal, then one marginal per
     iteration, stopping once the parameter moves by less than ``tol`` or
     after ``max_iter`` iterations.
 
     Every iterate is clamped into the Frechet interval shrunk by 1e-9 so
-    couplings built from it stay finite.
+    couplings built from it stay finite.  ``codes``, if given, is the pair
+    ``(enc_i.encode(samples.xi), enc_j.encode(samples.xj))`` already
+    computed by the caller; it must have the shape of the samples.
     """
     if samples.count == 0:
         raise ValueError("no samples")
@@ -127,7 +134,7 @@ def em_iterates(
         raise ValueError("init outside the Frechet interval")
     t = min(max(t, lo_c), hi_c)
 
-    a = _cell_products(samples, enc_i, enc_j)
+    a = _cell_products(samples, enc_i, enc_j, codes)
     n = samples.count
     yield PairwiseMarginal(pi, pj, t, n_obs=n)
 
@@ -151,13 +158,17 @@ def em_fit(
     init: float | None = None,
     max_iter: int = 500,
     tol: float = 1e-9,
+    *,
+    codes=None,
 ) -> PairwiseMarginal:
     """Fit p11 by EM, keeping the node marginals fixed at the encoder values.
 
-    Returns the final iterate of :func:`em_iterates`.
+    Returns the final iterate of :func:`em_iterates`; ``codes`` is passed
+    on to it.
     """
     result = None
-    for result in em_iterates(samples, enc_i, enc_j, init, max_iter, tol):
+    for result in em_iterates(samples, enc_i, enc_j, init, max_iter, tol,
+                              codes=codes):
         pass
     return result
 

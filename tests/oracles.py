@@ -165,3 +165,56 @@ def reference_decimation(truth, fitted, predictors, replicates, seed,
         }
         for (bin_idx, name), c in sorted(cells.items())
     ]
+
+
+def reference_fit(columns, edges, encoder_kind, em_select, max_iter=500,
+                  tol=1e-9, patience=2) -> list[float]:
+    """Edge-by-edge p_ij11 with no work shared between edges.
+
+    Every EM call encodes its own pair of columns, and predictive selection
+    scores each iterate with quantiles found by ``searchsorted`` on the
+    ECDF ranks: the mean absolute error of decoding the pairwise
+    one-observed-one-hidden belief, both directions averaged, keeping the
+    best iterate until ``patience`` iterates in a row fail to beat it.
+    The arithmetic follows ``fit_from_copula``, so the values should be
+    identical.
+    """
+    from latent_ising import PairSamples, build_encoder, em_fit
+    from latent_ising.pairwise_em import em_iterates
+
+    def quantile(cdf, q):
+        idx = np.searchsorted(cdf._ranks, q, side="left")
+        return cdf.sorted_samples[np.minimum(idx, cdf.n - 1)]
+
+    def loss(pair, enc_i, enc_j, m):
+        ui = np.asarray(enc_i.encode(pair.xi), dtype=float)
+        uj = np.asarray(enc_j.encode(pair.xj), dtype=float)
+        pi, pj, p11 = m.p_i1, m.p_j1, m.p_ij11
+        b_j = ui * (p11 / pi) + (1.0 - ui) * ((pj - p11) / (1.0 - pi))
+        b_i = uj * (p11 / pj) + (1.0 - uj) * ((pi - p11) / (1.0 - pj))
+        err_j = np.abs(quantile(enc_j.cdf, np.clip(b_j, 0.0, 1.0)) - pair.xj).mean()
+        err_i = np.abs(quantile(enc_i.cdf, np.clip(b_i, 0.0, 1.0)) - pair.xi).mean()
+        return 0.5 * float(err_i + err_j)
+
+    columns = np.asarray(columns, dtype=float)
+    encoders = [build_encoder(encoder_kind, columns[:, i])
+                for i in range(columns.shape[1])]
+    out = []
+    for i, j in edges:
+        pair = PairSamples(columns[:, i], columns[:, j])
+        if em_select == "likelihood":
+            out.append(em_fit(pair, encoders[i], encoders[j],
+                              max_iter=max_iter, tol=tol).p_ij11)
+            continue
+        best, best_loss, worse = None, np.inf, 0
+        for m in em_iterates(pair, encoders[i], encoders[j],
+                             max_iter=max_iter, tol=tol):
+            value = loss(pair, encoders[i], encoders[j], m)
+            if value < best_loss:
+                best, best_loss, worse = m, value, 0
+            else:
+                worse += 1
+                if worse >= patience:
+                    break
+        out.append(best.p_ij11)
+    return out

@@ -127,3 +127,21 @@ def test_fit_rejects_malformed_pairs_csv(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["fit", "--pairs", str(pairs), "--out", str(tmp_path / "fitted.json")])
     assert str(exc.value) == "fit: pair row 3: edge 0-1 needs two values"
+
+
+def test_decimate_rejects_malformed_history(tmp_path):
+    truth = tmp_path / "truth.json"
+    fitted = tmp_path / "fitted.json"
+    run("gen-model", "--topology", "pair", "--rho", "0.7", "--seed", "3",
+        "--out", truth)
+    run("fit-lab", "--truth", truth, "--n-train", "501", "--seed", "5",
+        "--out", fitted)
+    history = tmp_path / "history.csv"
+    history.write_text("0,1\n0.1,0.2\n0.3,abc\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["decimate", "--truth", str(truth), "--fitted", str(fitted),
+              "--predictors", "inverse-cdf,knn", "--replicates", "2",
+              "--history", str(history), "--out", str(tmp_path / "dec.csv")])
+    assert str(exc.value) == (
+        "decimate: dataset row 3: malformed value in ['0.3', 'abc']"
+    )

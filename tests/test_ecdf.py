@@ -99,6 +99,34 @@ def test_quantile_monotone(samples, q1, q2):
     assert F.quantile(lo) <= F.quantile(hi)
 
 
+@given(
+    n=st.integers(1, 2000),
+    distinct=st.integers(1, 2000),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_quantile_matches_searchsorted_and_galois(n, distinct, seed):
+    rng = np.random.default_rng(seed)
+    # at most `distinct` values among n samples forces ties when n > distinct
+    F = EmpiricalCdf(rng.integers(0, distinct, n) * 0.37 - 5.0)
+    k = np.arange(n + 1) / n
+    q = np.concatenate([
+        [0.0, 1.0], k, np.nextafter(k, 0.0), np.nextafter(k, 1.0),
+        rng.uniform(size=200),
+    ])
+    q = q[(q >= 0.0) & (q <= 1.0)]
+    x = F.quantile(q)
+    reference = F.sorted_samples[
+        np.minimum(np.searchsorted(F._ranks, q, side="left"), n - 1)
+    ]
+    np.testing.assert_array_equal(x, reference)
+    # evaluate is non-decreasing, so evaluate(y) >= q <=> y >= x holds for
+    # every y once it holds at x and at the float just below x
+    q, x = q[q > 0.0], x[q > 0.0]
+    assert np.all(F.evaluate(x) >= q)
+    assert np.all(F.evaluate(np.nextafter(x, -np.inf)) < q)
+
+
 def test_round_trip_uniform_dkw_scale():
     rng = np.random.default_rng(7)
     x = rng.uniform(size=100_000)

@@ -13,7 +13,7 @@ from latent_ising import (
     sample,
 )
 
-from oracles import reference_decimation
+from oracles import reference_decimation, reference_fit
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +116,17 @@ def test_missing_coding_model_rejected(pair_setup):
     truth, fitted_cdf, _, _ = pair_setup
     with pytest.raises(ValueError, match="median-step"):
         decimate(truth, fitted_cdf, ["median-step"], replicates=2, seed=0)
+
+
+@pytest.mark.parametrize("em_select", ["prediction", "likelihood"])
+@pytest.mark.parametrize("encoder_kind", ["cdf", "median-step"])
+def test_fit_matches_edge_by_edge_reference(encoder_kind, em_select):
+    truth = generate_copula(regular_tree_topology(3, 16), seed=9)
+    fitted, data = fit_from_copula(truth, encoder_kind, n_train=1501, seed=10,
+                                   em_select=em_select)
+    reference = reference_fit(data.values, truth.topology.edges,
+                              encoder_kind, em_select)
+    assert [m.p_ij11 for m in fitted.marginals] == reference
 
 
 def test_small_tree_decimation_smoke():

@@ -101,6 +101,20 @@ def test_dataset_csv_roundtrip(small_fit, tmp_path):
     np.testing.assert_allclose(loaded.values, data.values, atol=1e-12)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0,1\n0.1,0.2\n0.3,abc\n", "dataset row 3: malformed value"),
+    ("0,1\n0.1,0.2\n\n0.3\n", "dataset row 4: 1 values, expected 2"),
+    ("0,1\n0.1,0.2,0.5\n", "dataset row 2: 3 values, expected 2"),
+    ("0,1\n", "dataset CSV has no outcomes"),
+    ("", "dataset CSV has no header row"),
+])
+def test_dataset_csv_rejects_malformed_rows(tmp_path, text, message):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_dataset_csv(path)
+
+
 def test_observations_csv(tmp_path):
     path = tmp_path / "obs.csv"
     path.write_text("node,value\n3,0.25\n7,0.5\n")

@@ -8,6 +8,7 @@ from latent_ising import (
     em_fit,
     log_likelihood,
 )
+from latent_ising.pairwise_em import em_iterates
 
 
 def _uniform_pair(rng, n, rho):
@@ -72,6 +73,23 @@ def test_median_step_frequency_for_any_interior_init():
     for init in np.linspace(lo + 0.01, hi - 0.01, 5):
         fit = em_fit(pair, enc1, enc2, init=float(init), max_iter=1)
         assert fit.p_ij11 == pytest.approx(freq, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["cdf", "median-step"])
+def test_em_iterates_with_codes_follows_the_same_trajectory(kind):
+    rng = np.random.default_rng(4)
+    x1, x2 = _uniform_pair(rng, 500, 0.6)
+    enc1, enc2 = build_encoder(kind, x1), build_encoder(kind, x2)
+    pair = PairSamples(x1, x2)
+    codes = (enc1.encode(x1), enc2.encode(x2))
+    plain = list(em_iterates(pair, enc1, enc2))
+    coded = list(em_iterates(pair, enc1, enc2, codes=codes))
+    assert len(plain) > 2
+    assert coded == plain
+    assert em_fit(pair, enc1, enc2, codes=codes) == plain[-1]
+    for bad in ((codes[0][:-1], codes[1]), (codes[0], codes[1][:, None])):
+        with pytest.raises(ValueError, match="shape of the samples"):
+            list(em_iterates(pair, enc1, enc2, codes=bad))
 
 
 def test_independent_data_near_fixed_point():
