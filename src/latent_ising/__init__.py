@@ -44,6 +44,7 @@ from .propagation import (
     BeliefState,
     ConvergenceReport,
     Engine,
+    ForestSolver,
     Schedule,
     bp_run,
     graph_cut_check,

@@ -199,7 +199,8 @@ def _cmd_decimate(args):
         writer = csv.DictWriter(
             fh,
             fieldnames=["bin_low", "bin_high", "predictor", "mean_l1",
-                        "bias", "n_points", "nonconverged_ratio"],
+                        "bias", "n_points", "nonconverged_ratio",
+                        "mean_iterations", "max_residual"],
         )
         writer.writeheader()
         writer.writerows(result.table())

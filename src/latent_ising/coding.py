@@ -31,6 +31,7 @@ __all__ = [
     "BayesMedianStep",
     "BayesMeanStep",
     "build_encoder",
+    "encode_training",
     "build_decoder",
     "marginal_p1",
     "conditional_cdfs",
@@ -99,7 +100,11 @@ def marginal_p1(encoder, training_samples) -> float:
     samples = np.asarray(training_samples, dtype=float)
     if samples.size == 0:
         raise ValueError("no samples")
-    p1 = float(np.mean(encoder.encode(samples)))
+    return _mean_code(encoder.encode(samples))
+
+
+def _mean_code(codes) -> float:
+    p1 = float(np.mean(codes))
     if p1 <= 0.0 or p1 >= 1.0:
         raise ValueError("degenerate latent variable")
     return p1
@@ -111,12 +116,19 @@ def build_encoder(kind: str, samples):
     The marginal p1 is the empirical mean of the encoding over the same
     samples; degenerate nodes (p1 in {0, 1}) are rejected.
     """
+    return encode_training(kind, samples)[0]
+
+
+def encode_training(kind: str, samples):
+    """``build_encoder`` that also returns the codes of its own training
+    samples, as a float array: the one encoding p1 is the mean of."""
     if kind not in ENCODER_KINDS:
         raise ValueError(f"unknown encoder kind: {kind!r}")
     cdf = EmpiricalCdf(samples)
     enc = ENCODER_KINDS[kind](cdf, 0.5)  # placeholder p1
-    enc.p1 = marginal_p1(enc, samples)
-    return enc
+    codes = np.asarray(enc.encode(np.asarray(samples, dtype=float)), dtype=float)
+    enc.p1 = _mean_code(codes)
+    return enc, codes
 
 
 @dataclass(frozen=True)

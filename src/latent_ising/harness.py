@@ -4,9 +4,12 @@ A decimation run draws an outcome of the truth model, reveals its
 coordinates one at a time in seeded random order (permanently instrumented
 nodes first), and after every reveal asks each predictor for the still
 hidden coordinates.  Mean absolute error and bias against the exact
-conditional median are aggregated into reveal-fraction bins.  Runs where
-the message passing did not converge are kept (beliefs at the last sweep)
-and show up in a dedicated ratio column.
+conditional median are aggregated into reveal-fraction bins.  On a
+forest-shaped model the latent beliefs are the exact mirror fixed point
+(``ForestSolver``); on a loopy one they come from message passing, and
+runs that did not converge are kept (beliefs at the last sweep).  Either
+way unconverged runs show up in a dedicated ratio column, next to the mean
+work per run (Newton steps or sweeps) and the largest final residual.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coding import build_decoder, build_encoder
+from .coding import build_decoder, encode_training
 from .copula_lab import (
     CopulaModel,
     Dataset,
@@ -26,7 +29,13 @@ from .copula_lab import (
 )
 from .ising import LatentIsingModel, assemble
 from .pairwise_em import PairSamples, em_fit, em_iterates
-from .propagation import Engine, Schedule, impose_observations
+from .propagation import (
+    Engine,
+    ForestSolver,
+    Schedule,
+    impose_observations,
+    reveal_tilt,
+)
 
 __all__ = [
     "fit_from_copula",
@@ -45,9 +54,10 @@ LATENT_PREDICTORS = {
 }
 BASELINE_PREDICTORS = ("exact", "knn", "median")
 
-# Prediction-grade schedule for experiment loops: a tolerance far below the
-# error scale of the L1 metrics, and plateau-triggered damping so
-# oscillating runs settle instead of burning the sweep budget.
+# Prediction-grade schedule for experiment loops on loopy models: a
+# tolerance far below the error scale of the L1 metrics, and
+# plateau-triggered damping so oscillating runs settle instead of burning
+# the sweep budget.
 EXPERIMENT_SCHEDULE = Schedule(max_sweeps=120, tol=1e-5, auto_damp=True)
 
 
@@ -116,13 +126,9 @@ def fit_from_copula(
         raise ValueError(f"unknown em_select: {em_select!r}")
     data = sample(truth, n_train, seed)
     columns = data.values
-    encoders = [
-        build_encoder(encoder_kind, columns[:, i]) for i in range(truth.n_nodes)
-    ]
-    codes = [
-        np.asarray(enc.encode(columns[:, i]), dtype=float)
-        for i, enc in enumerate(encoders)
-    ]
+    encoders, codes = zip(*(
+        encode_training(encoder_kind, columns[:, i]) for i in range(truth.n_nodes)
+    ))
     marginals = []
     for i, j in truth.topology.edges:
         pair = PairSamples(columns[:, i], columns[:, j])
@@ -148,6 +154,8 @@ class _Accumulator:
     n_points: int = 0
     runs: int = 0
     nonconverged: int = 0
+    iterations: int = 0
+    max_residual: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -175,6 +183,10 @@ class DecimationResult:
                     "nonconverged_ratio": (
                         acc.nonconverged / acc.runs if acc.runs else 0.0
                     ),
+                    "mean_iterations": (
+                        acc.iterations / acc.runs if acc.runs else 0.0
+                    ),
+                    "max_residual": acc.max_residual,
                 }
             )
         return rows
@@ -203,17 +215,25 @@ def decimate(
 
     ``fitted`` is one latent model or a list of them; each latent predictor
     is routed to the model whose encoder kind it needs.  Identical seeds
-    give bit-identical results.  The default schedule is
-    ``EXPERIMENT_SCHEDULE``; runs that still fail to settle are kept and
-    reported through the nonconverged ratio.
+    give bit-identical results.
+
+    A forest-shaped model is solved exactly by ``ForestSolver``: each
+    replicate warm-starts from its tilts of the previous reveal step, and
+    the newly revealed node starts at ``reveal_tilt`` of its target and its
+    previous belief.  A loopy model runs ``Engine.sweep`` under
+    ``schedule`` (default ``EXPERIMENT_SCHEDULE``), warm-started from the
+    replicate's previous messages; ``schedule`` applies to loopy models
+    only.  Runs that fail to settle are kept and reported through the
+    nonconverged ratio, and the table gives the mean Newton steps or
+    sweeps per run and the largest final residual (max |b − b*| over the
+    observed nodes, or the last message change).
 
     All replicates are stepped together: at reveal step k every replicate
-    has exactly k nodes observed, so message passing (``Engine.sweep``), the
+    has exactly k nodes observed, so the solver or the sweep kernel, the
     exact predictor and the decoders each run once per step on arrays with
-    a leading replicate axis.  Each replicate still warm-starts from its own
-    previous messages and stops at its own convergence sweep, so the table
-    is the one a replicate-by-replicate loop of one-run ``Engine.sweep``
-    calls produces, whatever the size of the graph.
+    a leading replicate axis.  Every replicate stops at its own
+    convergence, so the table is the one a replicate-by-replicate loop of
+    one-run calls produces.
     """
     if isinstance(fitted, LatentIsingModel):
         fitted = [fitted]
@@ -258,7 +278,14 @@ def decimate(
     for rep in range(replicates):
         reveal[rep, len(always):] = order_rng.permutation(rest)
 
-    engines = {key: Engine(model) for key, model in needed_models.items()}
+    solvers = {
+        key: ForestSolver(model)
+        for key, model in needed_models.items() if model.topology.is_forest
+    }
+    engines = {
+        key: Engine(model)
+        for key, model in needed_models.items() if key not in solvers
+    }
     # every node's encoded outcome, normalized as Engine.run normalizes
     # constraints; a replicate pins the entries of the nodes it has revealed
     bstar = {}
@@ -270,6 +297,7 @@ def decimate(
         key: np.full((replicates, engine.n_slots, 2), 0.5)
         for key, engine in engines.items()
     }
+    tilts = {key: None for key in solvers}
     decoders = {
         (key, dec_kind): [
             build_decoder(dec_kind, enc) for enc in needed_models[key].encoders
@@ -281,18 +309,23 @@ def decimate(
     median_row = np.array([medians[i] for i in range(n)])
 
     steps = range(len(always), n)
-    # per predictor: (|error| sum, signed deviation sum, nonconverged flag)
-    # of every replicate (rows) at every step (columns)
-    abs_sums = {name: np.empty((replicates, len(steps))) for name, _, _ in plans}
-    signed_sums = {name: np.empty((replicates, len(steps))) for name, _, _ in plans}
-    nonconv = {
-        name: np.zeros((replicates, len(steps)), dtype=bool) for name, _, _ in plans
-    }
+    # per predictor: |error| sum, signed deviation sum, nonconverged flag,
+    # Newton steps or sweeps, and final residual of every replicate (rows)
+    # at every step (columns)
+    shape = (replicates, len(steps))
+    abs_sums = {name: np.empty(shape) for name, _, _ in plans}
+    signed_sums = {name: np.empty(shape) for name, _, _ in plans}
+    nonconv = {name: np.zeros(shape, dtype=bool) for name, _, _ in plans}
+    work = {name: np.zeros(shape, dtype=np.intp) for name, _, _ in plans}
+    resid = {name: np.zeros(shape) for name, _, _ in plans}
     rows = np.arange(replicates)[:, None]
     observed = np.zeros((replicates, n), dtype=bool)
+    beliefs = {}
 
     for col, step in enumerate(steps):
+        revealed = ~observed
         observed[rows, reveal[:, :step]] = True
+        revealed &= observed
         hidden = ~observed
         if step:
             obs_idx = np.sort(reveal[:, :step], axis=1)
@@ -302,10 +335,17 @@ def decimate(
         else:
             optimal = np.broadcast_to(median_row, outcomes.shape)
 
-        beliefs = {}
-        converged = {}
+        runs = {}  # key -> (converged, steps or sweeps, residual)
+        for key, solver in solvers.items():
+            start = tilts[key]
+            if start is not None:
+                start = np.where(
+                    revealed, reveal_tilt(bstar[key][..., 1], beliefs[key]), start
+                )
+            b, tilts[key], *runs[key] = solver.solve(observed, bstar[key], start)
+            beliefs[key] = b[..., 1]
         for key, engine in engines.items():
-            messages[key], converged[key], _, _ = engine.sweep(
+            messages[key], *runs[key] = engine.sweep(
                 messages[key], observed, bstar[key], schedule
             )
             beliefs[key] = engine.node_beliefs(
@@ -318,7 +358,8 @@ def decimate(
                 preds = np.column_stack(
                     [decs[i].decode(beliefs[key][:, i]) for i in range(n)]
                 )
-                nonconv[name][:, col] = ~converged[key]
+                converged, work[name][:, col], resid[name][:, col] = runs[key]
+                nonconv[name][:, col] = ~converged
             elif name == "exact":
                 preds = optimal
             elif name == "median":
@@ -351,6 +392,8 @@ def decimate(
                 n_points=replicates * sum(n - steps[col] for col in cols),
                 runs=replicates * len(cols),
                 nonconverged=int(nonconv[name][:, cols].sum()),
+                iterations=int(work[name][:, cols].sum()),
+                max_residual=float(resid[name][:, cols].max()),
             )
 
     return DecimationResult(

@@ -56,6 +56,24 @@ class GraphTopology:
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
 
+    @property
+    def is_forest(self) -> bool:
+        """True when the graph has no cycle."""
+        root = list(range(self.n_nodes))
+
+        def find(v):
+            while root[v] != v:
+                root[v] = root[root[v]]
+                v = root[v]
+            return v
+
+        for i, j in self.edges:
+            a, b = find(i), find(j)
+            if a == b:
+                return False
+            root[a] = b
+        return True
+
     def factors(self) -> list[tuple[int, ...]]:
         """Edges viewed as pairwise factors of a factor graph."""
         return [tuple(e) for e in self.edges]

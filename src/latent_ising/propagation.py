@@ -13,6 +13,12 @@ step many independent runs on one model together (``Engine.sweep``).
 Both have the same fixed points.  Convergence is declared when the largest
 message change over a sweep drops below the tolerance.  Non-convergence is
 reported, never raised.
+
+On a forest that fixed point is also reached exactly, without sweeps:
+``ForestSolver`` finds the observed nodes' tilts by Newton's method on the
+dual of the I-projection, one exact two-pass BP per iteration, batched
+over independent runs.  ``harness.decimate`` solves forest models with it
+and sweeps loopy ones; ``Engine.run`` always sweeps.
 """
 
 from __future__ import annotations
@@ -30,11 +36,26 @@ _FLOOR = 1e-12  # divisor floor for mirror ratios against vanishing messages
 # near 50 slots on random trees with 30 % of the nodes pinned).
 _LIST_MAX_SLOTS = 50
 
+# ForestSolver: a run stops once every observed belief is within
+# _NEWTON_TOL of its target, or unconverged after _NEWTON_MAX_STEPS
+# accepted Newton steps or once backtracking shrinks the step below
+# _MIN_STEP.  Steps with a Newton decrement below _FULL_STEP_DECREMENT skip
+# the Armijo test (sufficient decrease _ARMIJO), and tilts are kept within
+# +-_THETA_MAX, where sigma(theta) is 0 or 1 to double precision.
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_STEPS = 50
+_MIN_STEP = 2.0**-40
+_FULL_STEP_DECREMENT = 1e-9
+_ARMIJO = 1e-4
+_THETA_MAX = 800.0
+
 __all__ = [
     "Schedule",
     "ConvergenceReport",
     "BeliefState",
     "Engine",
+    "ForestSolver",
+    "reveal_tilt",
     "bp_run",
     "mbp_run",
     "impose_observations",
@@ -383,6 +404,315 @@ class Engine:
         # slot 2e + 1 has source i, slot 2e source j
         table = self.model.psi * (n[:, 1::2, :, None] * n[:, 0::2, None, :])
         return table / table.sum(axis=(2, 3), keepdims=True)
+
+
+class ForestSolver:
+    """Exact mirror fixed point of R independent runs on a forest model.
+
+    On a forest the fixed point of mirror BP is the I-projection
+    q ∝ p · Π_{i observed} exp(θ_i s_i) whose marginals at the observed
+    nodes equal b*.  The tilts θ minimise the strictly convex dual
+    log Z(θ) − Σ_i θ_i b*_i, whose gradient is b(θ) − b* and whose Hessian
+    is the covariance of the observed spins (Wainwright & Jordan 2008,
+    §3).  ``solve`` runs Newton's method on that dual:
+
+    * one evaluation is an exact two-pass BP, level by level in
+      breadth-first order, on arrays shaped (R, level); it gives node
+      beliefs, (child, parent) pair beliefs and log Z;
+    * the direction d = Σ_OO⁻¹ g uses the precision J of the spin
+      covariance, which is tree-sparse (Rue & Held 2005, ch. 2): for an
+      edge, J_ij = −c_ij / (v_i v_j − c_ij²), and on the diagonal
+      J_ii = (1 + Σ_j c_ij² / (v_i v_j − c_ij²)) / v_i, with v the spin
+      variances and c the edge covariances.  With y_O = g fixed, one
+      leaf-to-root elimination and one back-substitution solve
+      J_HH y_H = −J_HO g, and d = (J y)_O: O(n) per run;
+    * steps backtrack on the dual (Armijo), except that below a Newton
+      decrement g·d of ``_FULL_STEP_DECREMENT`` the full step is taken,
+      because the decrease to be tested is then close to the round-off of
+      log Z.  Runs stop on max |b_O − b*_O|, never on log Z.
+
+    b* of exactly 0 or 1 is hard evidence: it is clamped through the node
+    potential and left out of Newton.  Every operation acts row by row, so
+    a run ends exactly where it would end alone.
+    """
+
+    def __init__(self, model: LatentIsingModel):
+        topo = model.topology
+        if not topo.is_forest:
+            raise ValueError("ForestSolver needs a graph without cycles")
+        n = topo.n_nodes
+        neighbours = [
+            [(e, topo.edges[e][1 - side]) for e, side in topo.adjacency[u]]
+            for u in range(n)
+        ]
+        # breadth-first from the lowest node of every component, then a
+        # stable sort by depth: each level is contiguous and grouped by
+        # parent, in the order of the level above
+        order, seen = [], [False] * n
+        parent, parent_edge, depth = [-1] * n, [-1] * n, [0] * n
+        for r in range(n):
+            if seen[r]:
+                continue
+            seen[r] = True
+            head = len(order)
+            order.append(r)
+            while head < len(order):
+                u = order[head]
+                head += 1
+                for e, v in neighbours[u]:
+                    if not seen[v]:
+                        seen[v] = True
+                        parent[v], parent_edge[v], depth[v] = u, e, depth[u] + 1
+                        order.append(v)
+        order.sort(key=depth.__getitem__)
+
+        nr = self._n_roots = depth.count(0)
+        self._perm = np.asarray(order, dtype=np.intp)   # position -> node
+        self._inv = np.argsort(self._perm)              # node -> position
+        self._phi0 = model.phi[self._perm, 0]
+        self._phi1 = model.phi[self._perm, 1]
+        # parent position of every non-root position, nondecreasing
+        self._par = self._inv[np.asarray([parent[v] for v in order[nr:]],
+                                         dtype=np.intp)]
+        self._starts, self._heads = _runs(self._par)
+        # psi oriented (child, parent) at every non-root position
+        psi = np.ones((n, 2, 2))
+        for k in range(nr, n):
+            e = parent_edge[order[k]]
+            psi[k] = model.psi[e] if topo.edges[e][0] == order[k] else model.psi[e].T
+        depths = np.asarray(depth, dtype=np.intp)[self._perm]
+        bounds = np.searchsorted(depths, np.arange(depths.max(initial=0) + 2))
+        # per level below the roots: slice, parents, reduceat groups, psi
+        self._levels = [
+            (lo, hi, self._par[lo - nr:hi - nr], *_runs(self._par[lo - nr:hi - nr]),
+             psi[lo:hi, 0, 0], psi[lo:hi, 0, 1], psi[lo:hi, 1, 0], psi[lo:hi, 1, 1])
+            for lo, hi in zip(bounds[1:-1], bounds[2:])
+        ]
+        flat = np.ones((1, n))
+        self._prior1 = self._evaluate(flat, flat)[1][0]  # unobserved marginals
+
+    def solve(self, observed, bstar, theta=None):
+        """Exact beliefs of R runs at once.
+
+        ``observed`` (R, n_nodes) marks each run's observed nodes and
+        ``bstar`` (R, n_nodes, 2) holds their normalized imposed beliefs.
+        ``theta`` (R, n_nodes) gives the starting tilts of the observed
+        nodes; by default each starts at ``reveal_tilt`` of its target and
+        its unobserved marginal.  Returns the arrays (beliefs, theta,
+        converged, iterations, residual): beliefs (R, n_nodes, 2) with the
+        observed nodes carrying b*, the final tilts (0 off the soft
+        observed nodes), and per run whether the residual fell below
+        ``_NEWTON_TOL``, the Newton steps taken and the residual
+        max |b_i − b*_i| over the observed nodes.
+        """
+        observed = np.asarray(observed, dtype=bool)
+        bstar = np.asarray(bstar, dtype=float)
+        perm, nr = self._perm, self._n_roots
+        obs = observed[:, perm]
+        target = bstar[:, perm, 1]
+        hard = obs & ((target == 0.0) | (target == 1.0))
+        soft = obs & ~hard
+        if theta is None:
+            theta = reveal_tilt(target, self._prior1)
+        else:
+            theta = np.asarray(theta, dtype=float)[:, perm]
+        theta = np.where(soft, np.clip(theta, -_THETA_MAX, _THETA_MAX), 0.0)
+        target = np.where(soft, target, 0.0)
+        # evidence weights of the nodes outside Newton: clamped or flat
+        base0 = np.where(hard, bstar[:, perm, 0], 1.0)
+        base1 = np.where(hard, bstar[:, perm, 1], 1.0)
+        hid = ~obs
+        free_edge = ~hard[:, nr:] & ~np.take(hard, self._par, axis=1)
+        hid_edge = hid[:, nr:] & np.take(hid, self._par, axis=1)
+
+        n_runs, n = obs.shape
+        out_b0, out_b1 = np.empty((n_runs, n)), np.empty((n_runs, n))
+        out_theta = np.empty((n_runs, n))
+        converged = np.zeros(n_runs, dtype=bool)
+        iterations = np.zeros(n_runs, dtype=np.intp)
+        residual = np.zeros(n_runs)
+
+        b0, b1, p11, dual = self._point(theta, soft, target, base0, base1)
+        g = np.where(soft, b1 - target, 0.0)
+        res = np.abs(g).max(axis=1, initial=0.0)
+        live = np.arange(n_runs)
+        fresh = np.ones(n_runs, dtype=bool)  # at a newly accepted point
+        taken = np.zeros(n_runs, dtype=np.intp)
+        step = np.ones(n_runs)
+        d = np.zeros((n_runs, n))
+        lam2 = np.zeros(n_runs)
+        while live.size:
+            stop = (fresh & ((res < _NEWTON_TOL) | (taken >= _NEWTON_MAX_STEPS))
+                    | (step < _MIN_STEP))
+            if stop.any():
+                idx = live[stop]
+                out_b0[idx], out_b1[idx], out_theta[idx] = b0[stop], b1[stop], theta[stop]
+                converged[idx] = res[stop] < _NEWTON_TOL
+                iterations[idx] = taken[stop]
+                residual[idx] = res[stop]
+                keep = ~stop
+                live = live[keep]
+                if not live.size:
+                    break
+                (theta, soft, target, base0, base1, hid, free_edge, hid_edge, b0, b1,
+                 p11, dual, g, res, fresh, taken, step, d, lam2) = (
+                    a[keep] for a in (
+                        theta, soft, target, base0, base1, hid, free_edge, hid_edge,
+                        b0, b1, p11, dual, g, res, fresh, taken, step, d, lam2))
+            if fresh.any():
+                with np.errstate(all="ignore"):
+                    d_new = self._direction(b0, b1, p11, g, soft, hid,
+                                            free_edge, hid_edge)
+                    lam2_new = (g * d_new).sum(axis=1)
+                # a run without a finite direction gets a zero step, which
+                # stops it unconverged on the next pass
+                usable = fresh & np.isfinite(lam2_new)
+                d = np.where(usable[:, None], d_new, np.where(fresh[:, None], 0.0, d))
+                lam2 = np.where(fresh, lam2_new, lam2)
+                step = np.where(fresh, np.where(usable, 1.0, 0.0), step)
+            trial = np.clip(theta - step[:, None] * d, -_THETA_MAX, _THETA_MAX)
+            t_b0, t_b1, t_p11, t_dual = self._point(trial, soft, target, base0, base1)
+            accept = (step > 0.0) & (
+                (lam2 < _FULL_STEP_DECREMENT) | (t_dual <= dual - _ARMIJO * step * lam2)
+            )
+            acc = accept[:, None]
+            theta = np.where(acc, trial, theta)
+            b0, b1 = np.where(acc, t_b0, b0), np.where(acc, t_b1, b1)
+            p11 = np.where(acc, t_p11, p11)
+            dual = np.where(accept, t_dual, dual)
+            g = np.where(soft, b1 - target, 0.0)
+            res = np.abs(g).max(axis=1, initial=0.0)
+            taken += accept
+            fresh = accept
+            step = np.where(accept, step, 0.5 * step)
+
+        inv = self._inv
+        beliefs = np.stack(
+            [np.take(out_b0, inv, axis=1), np.take(out_b1, inv, axis=1)], axis=-1
+        )
+        beliefs = np.where(observed[..., None], bstar, beliefs)
+        return beliefs, np.take(out_theta, inv, axis=1), converged, iterations, residual
+
+    def _point(self, theta, soft, target, base0, base1):
+        """Beliefs, pair beliefs and the dual at tilts ``theta``.  The soft
+        nodes' potential is (1 − σ(θ), σ(θ)), formed from exp(−|θ|) so
+        that no tilt overflows."""
+        e = np.exp(-np.abs(theta))
+        scale = 1.0 / (1.0 + e)
+        pos = theta >= 0.0
+        w0 = np.where(soft, np.where(pos, e, 1.0) * scale, base0)
+        w1 = np.where(soft, np.where(pos, 1.0, e) * scale, base1)
+        b0, b1, p11, log_z = self._evaluate(w0, w1)
+        # log Z(θ) = log Z(w) + Σ softplus(θ_i)
+        softplus = np.maximum(theta, 0.0) + np.log1p(e)
+        dual = log_z + np.where(soft, softplus - theta * target, 0.0).sum(axis=1)
+        return b0, b1, p11, dual
+
+    def _evaluate(self, w0, w1):
+        """Exact two-pass BP with node evidence weights w (R, n) in
+        breadth-first order.  Returns the beliefs of state 0 and state 1,
+        the [1, 1] entry of each (child, parent) pair belief at the child's
+        position, and log Z."""
+        u0 = self._phi0 * w0
+        u1 = self._phi1 * w1
+        mu0, mu1 = np.empty_like(u0), np.empty_like(u1)
+        log_z = np.zeros(len(u0))
+        # upward: messages to the parents, folded into them.  Scaling each
+        # message to a largest entry of 1 keeps a parent's product over
+        # many children from underflowing in both states.
+        for lo, hi, _, starts, heads, p00, p01, p10, p11 in reversed(self._levels):
+            a0, a1 = u0[:, lo:hi], u1[:, lo:hi]
+            m0 = a0 * p00 + a1 * p10
+            m1 = a0 * p01 + a1 * p11
+            z = np.maximum(m0, m1)
+            m0 /= z
+            m1 /= z
+            log_z += np.log(z).sum(axis=1)
+            mu0[:, lo:hi], mu1[:, lo:hi] = m0, m1
+            u0[:, heads] *= np.multiply.reduceat(m0, starts, axis=1)
+            u1[:, heads] *= np.multiply.reduceat(m1, starts, axis=1)
+        nr = self._n_roots
+        b0, b1, pair11 = np.empty_like(u0), np.empty_like(u0), np.zeros_like(u0)
+        z = u0[:, :nr] + u1[:, :nr]
+        log_z += np.log(z).sum(axis=1)
+        b0[:, :nr] = u0[:, :nr] / z
+        b1[:, :nr] = u1[:, :nr] / z
+        # downward: the parent's belief over the child's message is the
+        # parent-side factor of the pair belief
+        for lo, hi, par, _, _, p00, p01, p10, p11 in self._levels:
+            o0 = np.take(b0, par, axis=1) / mu0[:, lo:hi]
+            o1 = np.take(b1, par, axis=1) / mu1[:, lo:hi]
+            t0 = u0[:, lo:hi] * (p00 * o0 + p01 * o1)
+            t1 = u1[:, lo:hi] * (p10 * o0 + p11 * o1)
+            tot = t0 + t1
+            b0[:, lo:hi] = t0 / tot
+            b1[:, lo:hi] = t1 / tot
+            pair11[:, lo:hi] = u1[:, lo:hi] * p11 * o1 / tot
+        return b0, b1, pair11, log_z
+
+    def _direction(self, b0, b1, p11, g, soft, hid, free_edge, hid_edge):
+        """Newton direction Σ_OO⁻¹ g of R runs through the tree-sparse
+        precision; edges at clamped nodes are cut."""
+        nr, par = self._n_roots, self._par
+        v = b0 * b1
+        c = p11[:, nr:] - b1[:, nr:] * np.take(b1, par, axis=1)
+        det = v[:, nr:] * np.take(v, par, axis=1) - c * c
+        j_off = np.where(free_edge, -c / det, 0.0)
+        load = np.zeros_like(v)
+        load[:, nr:] = -c * j_off
+        if self._heads.size:
+            load[:, self._heads] += np.add.reduceat(-c * j_off, self._starts, axis=1)
+        j_diag = np.where(hid | soft, (1.0 + load) / v, 0.0)
+
+        # J_HH y_H = −J_HO g, with g zero off the soft nodes
+        r = np.where(hid, -self._matvec(j_diag, j_off, g), 0.0)
+        k = np.where(hid_edge, j_off, 0.0)
+        dd = np.where(hid, j_diag, 1.0)
+        for lo, hi, _, starts, heads, *_ in reversed(self._levels):
+            kl = k[:, lo - nr:hi - nr]
+            ratio = kl / dd[:, lo:hi]
+            dd[:, heads] -= np.add.reduceat(kl * ratio, starts, axis=1)
+            r[:, heads] -= np.add.reduceat(r[:, lo:hi] * ratio, starts, axis=1)
+        y = np.empty_like(r)
+        y[:, :nr] = r[:, :nr] / dd[:, :nr]
+        for lo, hi, lpar, *_ in self._levels:
+            y[:, lo:hi] = (r[:, lo:hi] - k[:, lo - nr:hi - nr]
+                           * np.take(y, lpar, axis=1)) / dd[:, lo:hi]
+        y = np.where(soft, g, y)
+        return np.where(soft, self._matvec(j_diag, j_off, y), 0.0)
+
+    def _matvec(self, j_diag, j_off, y):
+        """J y for R runs, J given by its diagonal and its (child, parent)
+        entries."""
+        nr = self._n_roots
+        out = j_diag * y
+        out[:, nr:] += j_off * np.take(y, self._par, axis=1)
+        if self._heads.size:
+            out[:, self._heads] += np.add.reduceat(j_off * y[:, nr:], self._starts,
+                                                   axis=1)
+        return out
+
+
+def _runs(par):
+    """reduceat starts of the runs of equal entries of a sorted index
+    array, and the entry of each run."""
+    if not par.size:
+        return np.zeros(0, dtype=np.intp), par
+    starts = np.flatnonzero(np.r_[True, par[1:] != par[:-1]])
+    return starts, par[starts]
+
+
+def reveal_tilt(target, belief):
+    """Starting tilt of a node revealed with target belief ``target`` (of
+    state 1) while its belief is ``belief``: logit(target) − logit(belief),
+    which matches the target exactly when the node is alone.  Both are
+    clipped into the open unit interval, so the tilt is always finite."""
+    return _logit(target) - _logit(belief)
+
+
+def _logit(p):
+    p = np.clip(p, 1e-300, 1.0 - 2.0**-53)
+    return np.log(p) - np.log1p(-p)
 
 
 def _escalated(gamma, sweep, residual, plateau_ref, tol):

@@ -69,15 +69,19 @@ def reference_decimation(truth, fitted, predictors, replicates, seed,
     """Replicate-by-replicate decimation built from the public pieces.
 
     Each replicate reveals its nodes one at a time; after every reveal each
-    fitted model runs a one-run ``Engine.sweep`` warm-started from that
-    replicate's previous messages, with constraints from
-    ``impose_observations``, and ``predict`` decodes the hidden nodes.
-    Seeds, reveal orders and the order of every sum follow ``decimate``, so
-    the returned rows are what ``DecimationResult.table()`` should give.
+    fitted model is solved for that replicate alone, with constraints from
+    ``impose_observations``: a forest model by a one-run
+    ``ForestSolver.solve`` warm-started from the replicate's previous tilts
+    (the newly revealed node at ``reveal_tilt`` of its target and previous
+    belief), a loopy one by a one-run ``Engine.sweep`` warm-started from
+    its previous messages.  ``predict`` decodes the hidden nodes.  Seeds,
+    reveal orders and the order of every sum follow ``decimate``, so the
+    returned rows are what ``DecimationResult.table()`` should give.
     """
     from latent_ising import (
         BeliefState,
         Engine,
+        ForestSolver,
         exact_predictor,
         impose_observations,
         knn_predictor,
@@ -85,6 +89,7 @@ def reference_decimation(truth, fitted, predictors, replicates, seed,
         predict,
         sample,
     )
+    from latent_ising.propagation import reveal_tilt
     from latent_ising.harness import (
         EXPERIMENT_SCHEDULE,
         LATENT_PREDICTORS,
@@ -95,7 +100,8 @@ def reference_decimation(truth, fitted, predictors, replicates, seed,
     if not isinstance(fitted, (list, tuple)):
         fitted = [fitted]
     models = {m.encoders[0].kind: m for m in fitted}
-    engines = {kind: Engine(m) for kind, m in models.items()}
+    engines = {kind: ForestSolver(m) if m.topology.is_forest else Engine(m)
+               for kind, m in models.items()}
 
     n = truth.n_nodes
     always = list(truth.always_observed)
@@ -108,7 +114,10 @@ def reference_decimation(truth, fitted, predictors, replicates, seed,
     for rep in range(replicates):
         outcome = outcomes[rep]
         reveal = always + [int(i) for i in order_rng.permutation(rest)]
-        warm = {kind: np.full((1, e.n_slots, 2), 0.5) for kind, e in engines.items()}
+        warm = {kind: None if isinstance(e, ForestSolver)
+                else np.full((1, e.n_slots, 2), 0.5)
+                for kind, e in engines.items()}
+        last = {}  # forest models: state-1 beliefs of the previous step
         for step in range(len(always), n):
             observed = {i: float(outcome[i]) for i in reveal[:step]}
             hidden = [i for i in range(n) if i not in observed]
@@ -117,7 +126,7 @@ def reference_decimation(truth, fitted, predictors, replicates, seed,
                 optimal = exact_predictor(truth, observed)
             else:
                 optimal = median_predictor(truth, hidden)
-            states, converged = {}, {}
+            states, runs = {}, {}
             for kind, model in models.items():
                 constraints = impose_observations(model, observed)
                 pinned = np.zeros((1, n), dtype=bool)
@@ -126,17 +135,29 @@ def reference_decimation(truth, fitted, predictors, replicates, seed,
                     pinned[0, i] = True
                     bstar[0, i] = vec / vec.sum()
                 engine = engines[kind]
-                warm[kind], done, _, _ = engine.sweep(warm[kind], pinned, bstar,
-                                                      schedule)
-                beliefs = engine.node_beliefs(warm[kind], pinned, bstar)[0]
-                states[kind] = BeliefState(beliefs, None, warm[kind][0], constraints)
-                converged[kind] = bool(done[0])
+                if isinstance(engine, ForestSolver):
+                    start = warm[kind]
+                    if start is not None:
+                        new = pinned & ~np.isin(np.arange(n), reveal[:step - 1])
+                        start = np.where(
+                            new, reveal_tilt(bstar[..., 1], last[kind]), start)
+                    out = engine.solve(pinned, bstar, start)
+                    beliefs, warm[kind] = out[0][0], out[1]
+                    last[kind] = beliefs[None, :, 1]
+                    states[kind] = BeliefState(beliefs, None, None, constraints)
+                else:
+                    out = engine.sweep(warm[kind], pinned, bstar, schedule)
+                    warm[kind] = out[0]
+                    beliefs = engine.node_beliefs(warm[kind], pinned, bstar)[0]
+                    states[kind] = BeliefState(beliefs, None, warm[kind][0],
+                                               constraints)
+                runs[kind] = [x[0] for x in out[-3:]]
             for name in predictors:
-                nonconv = False
+                done, work, residual = True, 0, 0.0
                 if name in LATENT_PREDICTORS:
                     kind, decoder = LATENT_PREDICTORS[name]
                     preds = predict(models[kind], states[kind], decoder)
-                    nonconv = not converged[kind]
+                    done, work, residual = runs[kind]
                 elif name == "exact":
                     preds = optimal
                 elif name == "median":
@@ -145,13 +166,16 @@ def reference_decimation(truth, fitted, predictors, replicates, seed,
                     preds = knn_predictor(history, observed, k=knn_k)
                 cell = cells.setdefault(
                     (bin_idx, name), {"abs": 0.0, "signed": 0.0, "points": 0,
-                                      "runs": 0, "nonconv": 0}
+                                      "runs": 0, "nonconv": 0, "work": 0,
+                                      "residual": 0.0}
                 )
                 cell["abs"] += sum(abs(preds[i] - outcome[i]) for i in hidden)
                 cell["signed"] += sum(preds[i] - optimal[i] for i in hidden)
                 cell["points"] += len(hidden)
                 cell["runs"] += 1
-                cell["nonconv"] += int(nonconv)
+                cell["nonconv"] += int(not done)
+                cell["work"] += int(work)
+                cell["residual"] = max(cell["residual"], float(residual))
 
     return [
         {
@@ -162,6 +186,8 @@ def reference_decimation(truth, fitted, predictors, replicates, seed,
             "bias": c["signed"] / c["points"],
             "n_points": c["points"],
             "nonconverged_ratio": c["nonconv"] / c["runs"],
+            "mean_iterations": c["work"] / c["runs"],
+            "max_residual": c["residual"],
         }
         for (bin_idx, name), c in sorted(cells.items())
     ]

@@ -306,12 +306,13 @@ def test_criterion_9_tree_decimation():
         if prev is not None:
             worst_rise = max(worst_rise, inv[b] - prev)
         prev = inv[b]
-    checks = [beats_median, worst_rise <= 0.005, elapsed <= 600.0]
+    converged = all(r["nonconverged_ratio"] == 0.0 for r in result.table())
+    checks = [beats_median, worst_rise <= 0.005, converged, elapsed <= 600.0]
     _verdict(
         9, all(checks),
         f"tree decimation (500 replicates): inverse-cdf <= median at every "
         f"bin >= 0.1: {beats_median}, worst curve rise {worst_rise:.4f} <= 0.005, "
-        f"{elapsed:.0f}s (<=600)",
+        f"every run converged: {converged}, {elapsed:.0f}s (<=600)",
     )
 
 

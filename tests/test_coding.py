@@ -14,6 +14,7 @@ from latent_ising.coding import (
     BayesQuadCdf,
     InverseCdf,
     bayes_quad_level,
+    encode_training,
     median_step_level,
 )
 
@@ -69,6 +70,15 @@ def test_marginal_p1_cdf_uniform_half():
     rng = np.random.default_rng(1)
     enc = build_encoder("cdf", rng.uniform(size=100_000))
     assert enc.p1 == pytest.approx(0.5, abs=0.01)
+
+
+@pytest.mark.parametrize("kind", ["cdf", "median-step"])
+def test_encode_training_returns_the_codes_p1_averages(kind):
+    samples = np.random.default_rng(2).normal(size=777)
+    enc, codes = encode_training(kind, samples)
+    np.testing.assert_array_equal(codes, enc.encode(samples))
+    assert codes.dtype == float
+    assert enc.p1 == marginal_p1(enc, samples) == build_encoder(kind, samples).p1
 
 
 @pytest.mark.parametrize("kind", ["cdf", "median-step"])

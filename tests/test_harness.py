@@ -129,6 +129,24 @@ def test_fit_matches_edge_by_edge_reference(encoder_kind, em_select):
     assert [m.p_ij11 for m in fitted.marginals] == reference
 
 
+@pytest.mark.parametrize("encoder_kind", ["cdf", "median-step"])
+def test_fit_encodes_each_column_once(monkeypatch, encoder_kind):
+    from latent_ising import coding
+
+    cls = coding.ENCODER_KINDS[encoder_kind]
+    original = cls.encode
+    calls = []
+
+    def counted(self, x):
+        calls.append(np.size(x))
+        return original(self, x)
+
+    monkeypatch.setattr(cls, "encode", counted)
+    truth = generate_copula(regular_tree_topology(3, 16), seed=9)
+    fit_from_copula(truth, encoder_kind, n_train=501, seed=10)
+    assert calls == [501] * 16
+
+
 def test_small_tree_decimation_smoke():
     topo = regular_tree_topology(3, 16)
     truth = generate_copula(topo, seed=9)
@@ -158,6 +176,8 @@ def _assert_matches_reference(rows, reference):
         assert row["bin_high"] == ref["bin_high"]
         assert row["n_points"] == ref["n_points"]
         assert row["nonconverged_ratio"] == ref["nonconverged_ratio"]
+        assert row["mean_iterations"] == ref["mean_iterations"]
+        assert row["max_residual"] == ref["max_residual"]
         for key in ("mean_l1", "bias"):
             assert row[key] == pytest.approx(ref[key], rel=1e-12, abs=0.0)
 
@@ -188,9 +208,16 @@ def test_decimation_matches_per_replicate_reference_always_observed():
     _assert_matches_reference(rows, reference_decimation(truth, fitted, **kwargs))
 
 
+def _grid_topology(k):
+    rows = [(r * k + c, r * k + c + 1) for r in range(k) for c in range(k - 1)]
+    cols = [(r * k + c, (r + 1) * k + c) for r in range(k - 1) for c in range(k)]
+    return GraphTopology(k * k, tuple(rows + cols))
+
+
 def test_decimation_matches_per_replicate_reference_short_budget():
-    topo = regular_tree_topology(3, 16)
-    truth = generate_copula(topo, seed=9)
+    # a loopy graph, where decimation sweeps under the schedule's budget
+    truth = generate_copula(_grid_topology(3), seed=0,
+                            corr_range=((-1.0, -0.5), (0.5, 1.0)))
     fitted, _ = fit_from_copula(truth, "cdf", n_train=1501, seed=10)
     schedule = Schedule(max_sweeps=100, tol=1e-9, auto_damp=True)
     kwargs = dict(predictors=["inverse-cdf", "bayes-quad", "exact"],
@@ -201,4 +228,22 @@ def test_decimation_matches_per_replicate_reference_short_budget():
     assert any(0.0 < ratio < 1.0 for ratio in ratios)
     undamped = Schedule(max_sweeps=100, tol=1e-9, auto_damp=False)
     assert decimate(truth, fitted, **{**kwargs, "schedule": undamped}).table() != rows
+    _assert_matches_reference(rows, reference_decimation(truth, fitted, **kwargs))
+
+
+def test_tree_decimation_is_exact_whatever_the_schedule():
+    # a forest is solved exactly: the sweep schedule plays no part, every
+    # run converges, and the table is the per-replicate solver's
+    topo = regular_tree_topology(3, 16)
+    truth = generate_copula(topo, seed=9)
+    fitted, _ = fit_from_copula(truth, "cdf", n_train=1501, seed=10)
+    kwargs = dict(predictors=["inverse-cdf", "bayes-quad", "exact"],
+                  replicates=12, seed=11)
+    short = Schedule(max_sweeps=100, tol=1e-9, auto_damp=True)
+    rows = decimate(truth, fitted, schedule=short, **kwargs).table()
+    assert all(r["nonconverged_ratio"] == 0.0 for r in rows)
+    assert all(r["max_residual"] < 1e-12 for r in rows)
+    assert any(r["mean_iterations"] > 0.0 for r in rows)
+    one_sweep = Schedule(max_sweeps=1, auto_damp=False)
+    assert decimate(truth, fitted, schedule=one_sweep, **kwargs).table() == rows
     _assert_matches_reference(rows, reference_decimation(truth, fitted, **kwargs))

@@ -3,6 +3,7 @@ import pytest
 
 from latent_ising import (
     Engine,
+    ForestSolver,
     GraphTopology,
     LatentIsingModel,
     PairwiseMarginal,
@@ -397,6 +398,144 @@ def test_underflowing_node_product_is_not_converged(kernel):
     assert sweeps == 3
     assert np.isnan(residual)
     assert not np.isfinite(beliefs).all()
+
+
+# --- exact forest solver -----------------------------------------------------
+
+def _random_forest_model(rng, n, alpha):
+    """Random tree with about a third of its edges cut: several components."""
+    edges = random_tree_edges(rng, n)
+    p1, marginals = random_consistent_marginals(rng, edges, n)
+    keep = rng.random(len(edges)) < 0.7
+    return assemble(
+        GraphTopology(n, tuple(e for e, k in zip(edges, keep) if k)),
+        [m for m, k in zip(marginals, keep) if k], alpha, node_p1=p1,
+    )
+
+
+def _random_evidence(rng, n_runs, n):
+    """Observed masks and normalized b* with about 20 % hard 0/1 targets."""
+    observed = rng.random((n_runs, n)) < rng.uniform(0.1, 0.9, (n_runs, 1))
+    b1 = rng.uniform(0.02, 0.98, (n_runs, n))
+    u = rng.random((n_runs, n))
+    b1[u < 0.1] = 0.0
+    b1[u > 0.9] = 1.0
+    return observed, np.stack([1.0 - b1, b1], axis=-1)
+
+
+def _constraints(observed, bstar):
+    return {int(i): bstar[i] for i in np.flatnonzero(observed)}
+
+
+@pytest.mark.filterwarnings("error")
+def test_forest_solver_matches_ipf_oracle():
+    rng = np.random.default_rng(16)
+    worst = 0.0
+    for _ in range(40):
+        n = int(rng.integers(2, 11))
+        model = _random_forest_model(rng, n, alpha=1.0 - rng.random())
+        observed, bstar = _random_evidence(rng, 1, n)
+        beliefs, _, converged, _, residual = ForestSolver(model).solve(observed, bstar)
+        assert converged[0] and residual[0] < 1e-12
+        fitted = ipf_fit(exact_joint(model), _constraints(observed[0], bstar[0]))
+        for i in range(n):
+            worst = max(worst, np.abs(beliefs[0, i] - node_marginal(fitted, i)).max())
+        np.testing.assert_array_equal(beliefs[observed], bstar[observed])
+    assert worst <= 1e-9
+
+
+def test_forest_solver_matches_converged_mirror_bp():
+    rng = np.random.default_rng(17)
+    compared = 0
+    for _ in range(30):
+        n = int(rng.integers(2, 31))
+        model = _random_forest_model(rng, n, alpha=1.0 - rng.random())
+        observed, bstar = _random_evidence(rng, 1, n)
+        beliefs = ForestSolver(model).solve(observed, bstar)[0][0]
+        state, report = mbp_run(model, _constraints(observed[0], bstar[0]),
+                                Schedule(tol=1e-12, max_sweeps=100_000))
+        if report.converged:
+            compared += 1
+            np.testing.assert_allclose(beliefs, state.node_beliefs, rtol=0, atol=1e-8)
+    assert compared >= 20
+
+
+def test_forest_solver_batch_rows_equal_single_runs():
+    rng = np.random.default_rng(18)
+    model = _random_forest_model(rng, 60, alpha=0.8)
+    solver = ForestSolver(model)
+    observed, bstar = _random_evidence(rng, 24, 60)
+    observed[0] = False  # nothing observed
+    observed[1] = True   # everything observed
+    batch = solver.solve(observed, bstar)
+    assert batch[2].all()
+    assert len(set(batch[3].tolist())) > 1  # runs stop at different steps
+    for r in range(24):
+        one = solver.solve(observed[r:r + 1], bstar[r:r + 1])
+        for a, b in zip(batch, one):
+            np.testing.assert_array_equal(a[r:r + 1], b)
+
+
+def test_forest_solver_warm_and_cold_starts_agree():
+    rng = np.random.default_rng(19)
+    model = _random_forest_model(rng, 40, alpha=0.9)
+    solver = ForestSolver(model)
+    observed, bstar = _random_evidence(rng, 12, 40)
+    cold = solver.solve(observed, bstar)
+    start = cold[1] + rng.normal(0.0, 1.0, cold[1].shape)
+    warm = solver.solve(observed, bstar, start)
+    assert warm[2].all()
+    np.testing.assert_allclose(warm[0], cold[0], rtol=0, atol=1e-10)
+    # close to the solution Newton's steps converge quadratically
+    near = solver.solve(observed, bstar, cold[1] + rng.normal(0.0, 1e-3, cold[1].shape))
+    assert near[2].all()
+    assert near[3].max() <= 3
+
+
+def test_forest_solver_single_observed_node_needs_no_step():
+    # the default start tilts a lone observed node exactly onto its target
+    rng = np.random.default_rng(20)
+    model = _random_tree_model(rng, 12, alpha=0.7)
+    observed = np.zeros((5, 12), dtype=bool)
+    observed[np.arange(5), [0, 3, 5, 7, 11]] = True
+    b1 = rng.uniform(0.02, 0.98, (5, 12))
+    _, _, converged, iterations, _ = ForestSolver(model).solve(
+        observed, np.stack([1.0 - b1, b1], axis=-1))
+    assert converged.all()
+    assert (iterations == 0).all()
+
+
+@pytest.mark.filterwarnings("error")
+def test_forest_solver_on_a_hub_whose_message_product_underflows():
+    # 1100 leaves: the product of their sum-normalized messages (near 1/2)
+    # underflows; the solver's answer is checked in log space from the
+    # tilts it returns
+    n = 1101
+    model = assemble(GraphTopology(n, tuple((0, i) for i in range(1, n))),
+                     [PairwiseMarginal(0.5, 0.5, 0.26)] * (n - 1), 1.0)
+    observed = np.zeros((1, n), dtype=bool)
+    observed[0, 1::2] = True
+    b1 = np.where(np.arange(n) % 4 == 1, 0.6, 0.45)[None]
+    beliefs, theta, converged, _, _ = ForestSolver(model).solve(
+        observed, np.stack([1.0 - b1, b1], axis=-1))
+    assert converged[0]
+    # leaf potentials with their tilts; the hub's belief in log space
+    leaf = model.phi[1:] * np.stack([np.ones(n - 1), np.exp(theta[0, 1:])], axis=-1)
+    to_hub = np.einsum("eab,eb->ea", model.psi, leaf)  # edges are (hub, leaf)
+    log_hub = np.log(model.phi[0]) + np.log(to_hub).sum(axis=0)
+    hub = np.exp(log_hub - log_hub.max())
+    hub /= hub.sum()
+    np.testing.assert_allclose(beliefs[0, 0], hub, rtol=0, atol=1e-12)
+    pair = hub[None, :, None] * model.psi * leaf[:, None, :] / to_hub[:, :, None]
+    np.testing.assert_allclose(beliefs[0, 1:], pair.sum(axis=1), rtol=0, atol=1e-12)
+
+
+def test_forest_solver_rejects_cycles():
+    model = assemble(GraphTopology(3, ((0, 1), (1, 2), (2, 0))),
+                     [PairwiseMarginal(0.5, 0.5, 0.3)] * 3, 1.0)
+    assert not model.topology.is_forest
+    with pytest.raises(ValueError, match="cycle"):
+        ForestSolver(model)
 
 
 # --- observation handling ----------------------------------------------------
