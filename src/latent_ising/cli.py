@@ -48,6 +48,15 @@ def _parse_marginal(text: str) -> BetaMarginal:
     return BetaMarginal(a, b)
 
 
+def _load(load, path, command: str):
+    """``load(path)``, with an unreadable or malformed file reported as a
+    one-line ``SystemExit`` naming the command."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"{command}: {exc}")
+
+
 def _cmd_gen_model(args):
     marginal = _parse_marginal(args.marginal)
     overrides = {}
@@ -90,17 +99,14 @@ def _cmd_gen_model(args):
 
 
 def _cmd_sample(args):
-    model = load_copula(args.model)
+    model = _load(load_copula, args.model, "sample")
     data = sample(model, args.n, seed=args.seed)
     save_dataset_csv(data, args.out)
     print(f"wrote {args.n} outcomes -> {args.out}")
 
 
 def _cmd_fit(args):
-    try:
-        pairs = load_pairs_csv(args.pairs)
-    except ValueError as exc:
-        raise SystemExit(f"fit: {exc}")
+    pairs = _load(load_pairs_csv, args.pairs, "fit")
     n_nodes = 1 + max(max(i, j) for i, j in pairs)
     node_samples = [[] for _ in range(n_nodes)]
     for (i, j), (xi, xj) in pairs.items():
@@ -124,7 +130,7 @@ def _cmd_fit(args):
 
 
 def _cmd_fit_lab(args):
-    truth = load_copula(args.truth)
+    truth = _load(load_copula, args.truth, "fit-lab")
     model, data = fit_from_copula(
         truth,
         encoder_kind=args.encoder,
@@ -141,7 +147,7 @@ def _cmd_fit_lab(args):
 
 
 def _cmd_calibrate_alpha(args):
-    models = load_models(args.model)
+    models = _load(load_models, args.model, "calibrate-alpha")
     if len(models) != 1:
         raise SystemExit("calibrate-alpha expects a single-model file")
     config = AlphaSearchConfig(precision=args.precision, tau=args.tau)
@@ -151,14 +157,14 @@ def _cmd_calibrate_alpha(args):
 
 
 def _cmd_predict(args):
-    models = load_models(args.model)
+    models = _load(load_models, args.model, "predict")
     if len(models) != 1:
         raise SystemExit("predict expects a single-model file")
     model = models[0]
     try:
         observed = load_observations_csv(args.obs)
         constraints = impose_observations(model, observed)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise SystemExit(f"predict: {exc}")
     state, report = mbp_run(model, constraints)
     predictions = predict(model, state, decoder=args.decoder, observed=observed)
@@ -177,15 +183,14 @@ def _cmd_predict(args):
 
 
 def _cmd_decimate(args):
-    truth = load_copula(args.truth)
+    truth = _load(load_copula, args.truth, "decimate")
     fitted = []
     for path in args.fitted.split(","):
-        fitted.extend(load_models(path))
+        fitted.extend(_load(load_models, path, "decimate"))
     predictors = args.predictors.split(",")
-    try:
-        history = load_dataset_csv(args.history) if args.history else None
-    except ValueError as exc:
-        raise SystemExit(f"decimate: {exc}")
+    history = (
+        _load(load_dataset_csv, args.history, "decimate") if args.history else None
+    )
     result = decimate(
         truth,
         fitted,

@@ -93,7 +93,7 @@ class EmpiricalMarginal:
 class CopulaModel:
     """Gaussian copula over a graph with per-node marginals.
 
-    ``correlation`` is the covariance of the latent vector rescaled to unit
+    ``correlation`` is the inverse of ``precision`` rescaled to unit
     variances; sampling and conditioning use it so that every latent
     coordinate is standard normal, as the marginal transform requires.
     ``always_observed`` marks nodes revealed before any decimation step
@@ -102,7 +102,6 @@ class CopulaModel:
 
     topology: GraphTopology
     precision: np.ndarray
-    covariance: np.ndarray
     correlation: np.ndarray
     marginals: tuple
     always_observed: tuple = ()
@@ -139,7 +138,6 @@ def generate_copula(
     overrides: dict | None = None,
     marginals=None,
     always_observed=(),
-    max_repair_steps: int = 10_000,
 ) -> CopulaModel:
     """Random unit-diagonal precision matrix supported on the graph.
 
@@ -147,7 +145,8 @@ def generate_copula(
     (a union of intervals); ``overrides`` fixes chosen edges to given
     entries before the repair loop.  While the matrix is not positive
     definite, the largest-magnitude off-diagonal entry is multiplied by
-    0.95.
+    0.95; a matrix still not positive definite after 10 000 such steps
+    raises ``ValueError``.
     """
     rng = np.random.default_rng(seed)
     n = topology.n_nodes
@@ -160,7 +159,7 @@ def generate_copula(
             value = _sample_magnitude(rng, corr_range)
         prec[i, j] = prec[j, i] = float(value)
 
-    for _ in range(max_repair_steps):
+    for _ in range(10_000):
         if _positive_definite(prec):
             break
         off = np.abs(np.triu(prec, k=1))
@@ -172,10 +171,6 @@ def generate_copula(
 
     if marginals is None:
         marginals = tuple(BetaMarginal(1.0, 1.0) for _ in range(n))
-    else:
-        marginals = tuple(marginals)
-        if len(marginals) != n:
-            raise ValueError("one marginal required per node")
     return _copula_from_precision(topology, prec, marginals, always_observed)
 
 
@@ -189,8 +184,15 @@ def _positive_definite(prec: np.ndarray) -> bool:
 
 def _copula_from_precision(topology, prec, marginals,
                            always_observed) -> CopulaModel:
-    """The copula of a precision matrix, with its covariance and correlation;
-    a precision matrix that is not positive definite raises ``ValueError``."""
+    """The copula of a precision matrix, with its correlation; a precision
+    matrix that is not n-by-n and positive definite, or a marginal count
+    other than n, raises ``ValueError``."""
+    n = topology.n_nodes
+    if prec.shape != (n, n):
+        raise ValueError(f"precision matrix must be {n}x{n}")
+    marginals = tuple(marginals)
+    if len(marginals) != n:
+        raise ValueError("one marginal required per node")
     if not _positive_definite(prec):
         raise ValueError("precision matrix is not positive definite")
     cov = np.linalg.inv(prec)
@@ -198,9 +200,8 @@ def _copula_from_precision(topology, prec, marginals,
     return CopulaModel(
         topology=topology,
         precision=prec,
-        covariance=cov,
         correlation=cov * np.outer(scale, scale),
-        marginals=tuple(marginals),
+        marginals=marginals,
         always_observed=tuple(int(i) for i in always_observed),
     )
 
@@ -215,6 +216,8 @@ def sample(model: CopulaModel, n: int, seed: int | None = None) -> Dataset:
     y = rng.standard_normal((n, model.n_nodes)) @ chol.T
     u = ndtr(y)
     x = np.empty_like(u)
+    # one call per node: grouping equal marginals (_grouped_apply) was
+    # slower here, with every node's full column in one call anyway
     for i, marginal in enumerate(model.marginals):
         x[:, i] = marginal.quantile(u[:, i])
     return Dataset(values=x, seed=seed)
@@ -223,15 +226,17 @@ def sample(model: CopulaModel, n: int, seed: int | None = None) -> Dataset:
 def _grouped_apply(marginals, nodes, values, method):
     """Apply marginal.cdf / marginal.quantile elementwise, where ``nodes``
     names the node whose marginal each entry of ``values`` belongs to, with
-    one vectorized call per distinct marginal object (scalar scipy calls
-    dominate otherwise)."""
+    one vectorized call per distinct marginal (scalar scipy calls dominate
+    otherwise).  Marginals are grouped by value: equal ``BetaMarginal``
+    parameters share a call even when the nodes hold separate objects,
+    and an ``EmpiricalMarginal`` groups with those sharing its CDF object.
+    """
     nodes = np.asarray(nodes)
     out = np.empty(nodes.shape)
     groups: dict = {}
     for node in np.unique(nodes):
-        marg = marginals[node]
-        groups.setdefault(id(marg), (marg, []))[1].append(node)
-    for marg, members in groups.values():
+        groups.setdefault(marginals[node], []).append(node)
+    for marg, members in groups.items():
         mask = np.isin(nodes, members)
         out[mask] = getattr(marg, method)(values[mask])
     return out

@@ -60,6 +60,13 @@ BASELINE_PREDICTORS = ("exact", "knn", "median")
 # the sweep budget.
 EXPERIMENT_SCHEDULE = Schedule(max_sweeps=120, tol=1e-5, auto_damp=True)
 
+# predictive EM selection stops after this many iterates in a row fail to
+# beat the best pairwise prediction loss
+_PATIENCE = 2
+
+# width of the reveal-fraction bins of the decimation table
+BIN_WIDTH = 0.05
+
 
 def _pair_prediction_loss(ui, uj, xi, xj, cdf_i, cdf_j, m) -> float:
     """Mean absolute error of the quantile decoding of the pairwise
@@ -72,7 +79,7 @@ def _pair_prediction_loss(ui, uj, xi, xj, cdf_i, cdf_j, m) -> float:
     return 0.5 * float(err_i + err_j)
 
 
-def _fit_edge_predictive(pair, enc_i, enc_j, codes, max_iter, tol, patience=2):
+def _fit_edge_predictive(pair, enc_i, enc_j, codes):
     """EM with predictive early stopping.
 
     The latent pair family cannot represent the dependence of typical
@@ -80,22 +87,22 @@ def _fit_edge_predictive(pair, enc_i, enc_j, codes, max_iter, tol, patience=2):
     a Frechet corner with near-deterministic couplings.  Each EM iterate is
     therefore scored by the experiment's own metric, the L1 error of
     quantile-decoded pairwise predictions on the training pairs, and the
-    best-scoring iterate is kept.  ``codes`` is the encoded pair
+    best-scoring iterate is kept; the search stops after ``_PATIENCE``
+    iterates in a row fail to beat it.  ``codes`` is the encoded pair
     ``(enc_i.encode(pair.xi), enc_j.encode(pair.xj))``.
     """
     ui, uj = codes
     best = None
     best_loss = np.inf
     worse = 0
-    for m in em_iterates(pair, enc_i, enc_j, max_iter=max_iter, tol=tol,
-                         codes=codes):
+    for m in em_iterates(pair, enc_i, enc_j, codes=codes):
         loss = _pair_prediction_loss(ui, uj, pair.xi, pair.xj,
                                      enc_i.cdf, enc_j.cdf, m)
         if loss < best_loss:
             best, best_loss, worse = m, loss, 0
         else:
             worse += 1
-            if worse >= patience:
+            if worse >= _PATIENCE:
                 break
     return best
 
@@ -106,14 +113,13 @@ def fit_from_copula(
     n_train: int = 10_000,
     seed=None,
     alpha: float = 1.0,
-    em_max_iter: int = 500,
-    em_tol: float = 1e-9,
     em_select: str = "prediction",
 ) -> tuple[LatentIsingModel, Dataset]:
     """Draw a training set from the truth model and fit the latent model.
 
-    Every edge is fitted by EM on the n_train paired columns; each column
-    is encoded once and its codes are shared by the edges at that node.
+    Every edge is fitted by EM on the n_train paired columns, with the
+    iteration budget and tolerance of ``em_iterates``; each column is
+    encoded once and its codes are shared by the edges at that node.
     The training dataset is returned as well (it doubles as k-NN history).
 
     ``em_select`` chooses the iterate kept per edge: ``"prediction"``
@@ -135,12 +141,11 @@ def fit_from_copula(
         if em_select == "prediction":
             marginals.append(
                 _fit_edge_predictive(pair, encoders[i], encoders[j],
-                                     (codes[i], codes[j]), em_max_iter, em_tol)
+                                     (codes[i], codes[j]))
             )
         else:
             marginals.append(
                 em_fit(pair, encoders[i], encoders[j],
-                       max_iter=em_max_iter, tol=em_tol,
                        codes=(codes[i], codes[j]))
             )
     model = assemble(truth.topology, marginals, alpha, encoders=encoders)
@@ -209,13 +214,13 @@ def decimate(
     history: Dataset | None = None,
     knn_k: int = 50,
     schedule: Schedule | None = None,
-    bin_width: float = 0.05,
 ) -> DecimationResult:
     """Run the decimation experiment and aggregate per-bin metrics.
 
     ``fitted`` is one latent model or a list of them; each latent predictor
-    is routed to the model whose encoder kind it needs.  Identical seeds
-    give bit-identical results.
+    is routed to the model whose encoder kind it needs.  Reveal step k of
+    n falls in the bin floor((k / n) / ``BIN_WIDTH``), the last bin
+    absorbing k / n = 1.  Identical seeds give bit-identical results.
 
     A forest-shaped model is solved exactly by ``ForestSolver``: each
     replicate warm-starts from its tilts of the previous reveal step, and
@@ -380,8 +385,8 @@ def decimate(
             )
             signed_sums[name][:, col] = _hidden_sums(preds - optimal, hidden)
 
-    n_bins = int(round(1.0 / bin_width))
-    bins = [min(int((step / n) / bin_width), n_bins - 1) for step in steps]
+    n_bins = int(round(1.0 / BIN_WIDTH))
+    bins = [min(int((step / n) / BIN_WIDTH), n_bins - 1) for step in steps]
     cells: dict = {}
     for bin_idx in sorted(set(bins)):
         cols = [col for col, b in enumerate(bins) if b == bin_idx]
@@ -397,7 +402,7 @@ def decimate(
             )
 
     return DecimationResult(
-        bin_width=bin_width, replicates=replicates, seed=seed, cells=cells
+        bin_width=BIN_WIDTH, replicates=replicates, seed=seed, cells=cells
     )
 
 

@@ -56,29 +56,52 @@ def model_to_dict(model: LatentIsingModel) -> dict:
 
 
 def model_from_dict(payload: dict) -> LatentIsingModel:
-    nodes = sorted(payload["nodes"], key=lambda d: d["id"])
-    if [d["id"] for d in nodes] != list(range(len(nodes))):
+    """The fitted model of a ``model_to_dict`` payload.
+
+    A missing field, an edge endpoint that is not a node id or an invalid
+    value raises ``ValueError`` naming the node or edge it belongs to.
+    """
+    try:
+        nodes = sorted(payload["nodes"], key=lambda d: d["id"])
+        edge_specs = payload["edges"]
+        alpha = float(payload["alpha"])
+    except KeyError as exc:
+        raise ValueError(_reason(exc)) from None
+    n = len(nodes)
+    if [d["id"] for d in nodes] != list(range(n)):
         raise ValueError("node ids must be 0..N-1")
     encoders = []
     for d in nodes:
-        if d["encoder"] not in ENCODER_KINDS:
-            raise ValueError(f"node {d['id']}: unknown encoder kind {d['encoder']!r}")
-        cdf = EmpiricalCdf(d["cdf_samples"])
-        enc = ENCODER_KINDS[d["encoder"]](cdf, float(d["p1"]))
-        encoders.append(enc)
+        try:
+            if d["encoder"] not in ENCODER_KINDS:
+                raise ValueError(f"unknown encoder kind {d['encoder']!r}")
+            cdf = EmpiricalCdf(d["cdf_samples"])
+            encoders.append(ENCODER_KINDS[d["encoder"]](cdf, float(d["p1"])))
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"node {d['id']}: {_reason(exc)}") from None
     edges = []
     marginals = []
-    for d in payload["edges"]:
-        i, j = int(d["i"]), int(d["j"])
-        edges.append((i, j))
-        marginals.append(
-            PairwiseMarginal(
+    for e, d in enumerate(edge_specs):
+        try:
+            i, j = int(d["i"]), int(d["j"])
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"({i},{j}) has an endpoint outside 0..{n - 1}")
+            marginal = PairwiseMarginal(
                 encoders[i].p1, encoders[j].p1, float(d["p11"]),
                 n_obs=int(d.get("n_obs", 0)),
             )
-        )
-    topology = GraphTopology(len(nodes), tuple(edges))
-    return assemble(topology, marginals, float(payload["alpha"]), encoders=encoders)
+            marginal.validate()
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"edge {e}: {_reason(exc)}") from None
+        edges.append((i, j))
+        marginals.append(marginal)
+    topology = GraphTopology(n, tuple(edges))
+    return assemble(topology, marginals, alpha, encoders=encoders)
+
+
+def _reason(exc: Exception) -> str:
+    """The message of a ``ValueError``, or the field a ``KeyError`` missed."""
+    return f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
 
 
 def save_models(models, path):
@@ -119,15 +142,20 @@ def copula_to_dict(model: CopulaModel) -> dict:
 
 
 def copula_from_dict(payload: dict) -> CopulaModel:
-    topology = GraphTopology(
-        int(payload["n_nodes"]), tuple(tuple(e) for e in payload["edges"])
-    )
-    return _copula_from_precision(
-        topology,
-        np.asarray(payload["precision"], dtype=float),
-        [_marginal_from_spec(d) for d in payload["marginals"]],
-        payload.get("always_observed", ()),
-    )
+    """The truth model of a ``copula_to_dict`` payload; a missing field or
+    an invalid value raises ``ValueError``."""
+    try:
+        topology = GraphTopology(
+            int(payload["n_nodes"]), tuple(tuple(e) for e in payload["edges"])
+        )
+        return _copula_from_precision(
+            topology,
+            np.asarray(payload["precision"], dtype=float),
+            [_marginal_from_spec(d) for d in payload["marginals"]],
+            payload.get("always_observed", ()),
+        )
+    except KeyError as exc:
+        raise ValueError(_reason(exc)) from None
 
 
 def save_copula(model: CopulaModel, path):

@@ -68,27 +68,24 @@ __all__ = [
 class Schedule:
     """Sweep parameters.
 
-    Damping 0 is a pure update; tol is the L-inf message change per sweep
-    below which the run stops.  The traversal is not a setting:
-    ``Engine.run`` sweeps graphs of at most ``_LIST_MAX_SLOTS`` message
-    slots in place in fixed (factor, endpoint) order and larger ones with
-    the synchronous kernel, which updates every slot from the previous
-    sweep's messages.
+    Every run starts with pure (undamped) updates; tol is the L-inf message
+    change per sweep below which the run stops.  The traversal is not a
+    setting: ``Engine.run`` sweeps graphs of at most ``_LIST_MAX_SLOTS``
+    message slots in place in fixed (factor, endpoint) order and larger
+    ones with the synchronous kernel, which updates every slot from the
+    previous sweep's messages.
     ``auto_damp`` engages damping 0.5 mid-run if the residual plateaus,
-    which rescues period-2 message oscillations of synchronous sweeps
-    without changing the fixed point.  It is on by default; the temperature
-    calibration turns it off, because it probes the instabilities of
-    pure-update dynamics.
+    and raises it further on later plateaus, which rescues period-2
+    message oscillations of synchronous sweeps without changing the fixed
+    point.  It is on by default; the temperature calibration turns it off,
+    because it probes the instabilities of pure-update dynamics.
     """
 
-    damping: float = 0.0
     max_sweeps: int = 10_000
     tol: float = 1e-9
     auto_damp: bool = True
 
     def __post_init__(self):
-        if not 0.0 <= self.damping < 1.0:
-            raise ValueError("damping must lie in [0, 1)")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be positive")
 
@@ -233,7 +230,7 @@ class Engine:
         coef = self.coef
         src_in = self.src_in
         phi0, phi1 = self.phi0, self.phi1
-        gamma = schedule.damping
+        gamma = 0.0
         tol = schedule.tol
         floor = _FLOOR
 
@@ -327,7 +324,7 @@ class Engine:
         slot_floor = np.where(
             np.repeat(pinned[:, src, None], 2, axis=2), _FLOOR, 0.0
         )
-        gamma = np.full(n_runs, schedule.damping)
+        gamma = np.zeros(n_runs)
         plateau_ref = np.full(n_runs, np.inf)
         for sweep in range(1, schedule.max_sweeps + 1):
             # np.take gathers along the slot axis several times faster than

@@ -145,3 +145,85 @@ def test_decimate_rejects_malformed_history(tmp_path):
     assert str(exc.value) == (
         "decimate: dataset row 3: malformed value in ['0.3', 'abc']"
     )
+
+
+@pytest.fixture(scope="module")
+def pair_files(tmp_path_factory):
+    """A pair truth file, a model fitted to it and one observation file."""
+    tmp = tmp_path_factory.mktemp("pair")
+    truth, fitted, obs = tmp / "truth.json", tmp / "fitted.json", tmp / "obs.csv"
+    run("gen-model", "--topology", "pair", "--rho", "0.7", "--seed", "3",
+        "--out", truth)
+    run("fit-lab", "--truth", truth, "--n-train", "501", "--seed", "5",
+        "--out", fitted)
+    obs.write_text("node,value\n0,0.9\n")
+    return truth, fitted, obs
+
+
+def _drop_alpha(model):
+    del model["alpha"]
+
+
+def _edge_out_of_range(model):
+    model["edges"][0]["j"] = 5
+
+
+def _unknown_encoder(model):
+    model["nodes"][1]["encoder"] = "rank"
+
+
+def _p11_outside_frechet(model):
+    model["edges"][0]["p11"] = 2.0
+
+
+def _empty_cdf_samples(model):
+    model["nodes"][0]["cdf_samples"] = []
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_edge_out_of_range, "edge 0: (0,5) has an endpoint outside 0..1"),
+    (_drop_alpha, "missing field 'alpha'"),
+    (_unknown_encoder, "node 1: unknown encoder kind 'rank'"),
+    (_p11_outside_frechet, "edge 0: p_ij11 outside the Frechet interval"),
+    (_empty_cdf_samples, "node 0: no samples"),
+])
+def test_malformed_model_file_is_one_line_error(pair_files, tmp_path, corrupt,
+                                                message):
+    _, fitted, obs = pair_files
+    payload = json.loads(fitted.read_text())
+    corrupt(payload)
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(payload))
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--model", str(broken), "--obs", str(obs)])
+    assert str(exc.value) == f"predict: {message}"
+
+
+def _drop_precision(truth):
+    del truth["precision"]
+
+
+def _drop_marginal(truth):
+    truth["marginals"].pop()
+
+
+def _grow_precision(truth):
+    truth["precision"] = np.eye(3).tolist()
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_drop_precision, "missing field 'precision'"),
+    (_drop_marginal, "one marginal required per node"),
+    (_grow_precision, "precision matrix must be 2x2"),
+])
+def test_malformed_truth_file_is_one_line_error(pair_files, tmp_path, corrupt,
+                                                message):
+    truth, fitted, _ = pair_files
+    payload = json.loads(truth.read_text())
+    corrupt(payload)
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(payload))
+    with pytest.raises(SystemExit) as exc:
+        main(["decimate", "--truth", str(broken), "--fitted", str(fitted),
+              "--predictors", "exact", "--out", str(tmp_path / "dec.csv")])
+    assert str(exc.value) == f"decimate: {message}"

@@ -1,3 +1,6 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy.stats import beta as beta_dist
@@ -17,6 +20,7 @@ from latent_ising import (
     regular_tree_topology,
     sample,
 )
+from latent_ising.copula_lab import exact_predictor_batch
 
 
 @pytest.mark.parametrize("a,b", [(1.0, 1.0), (0.7, 0.3), (2.0, 3.0), (0.5, 0.5)])
@@ -121,6 +125,51 @@ def test_exact_predictor_independent_returns_median():
     model = generate_copula(topo, seed=12, marginals=[BetaMarginal(2, 3)] * 2)
     preds = exact_predictor(model, {0: 0.9})
     assert preds[1] == pytest.approx(BetaMarginal(2, 3).median())
+
+
+class _OwnMarginal:
+    """A marginal that groups only with itself (hashed by identity)."""
+
+    def __init__(self, marginal):
+        self.marginal = marginal
+
+    def cdf(self, x):
+        return self.marginal.cdf(x)
+
+    def quantile(self, q):
+        return self.marginal.quantile(q)
+
+
+def test_exact_predictor_groups_equal_marginals_by_value(monkeypatch):
+    # every city node holds its own BetaMarginal object, with 2 distinct values
+    topo, ring = grid_city()
+    ring_set = set(ring)
+    truth = generate_copula(
+        topo, seed=31, corr_range=((-1.0, -0.5), (0.5, 1.0)),
+        marginals=[BetaMarginal(2.0, 3.0) if i in ring_set else BetaMarginal(1.0, 1.0)
+                   for i in range(topo.n_nodes)],
+    )
+    rng = np.random.default_rng(14)
+    obs_idx = np.sort(
+        [np.concatenate([ring[:2], rng.choice(np.setdiff1d(range(92), ring), 28,
+                                              replace=False)])
+         for _ in range(4)], axis=1)
+    obs_vals = rng.uniform(0.05, 0.95, size=obs_idx.shape)
+    one_by_one = dataclasses.replace(
+        truth, marginals=tuple(_OwnMarginal(m) for m in truth.marginals))
+    expected = exact_predictor_batch(one_by_one, obs_idx, obs_vals)
+
+    calls = Counter()
+    for method in ("cdf", "quantile"):
+        def counted(self, x, _method=method, _fn=getattr(BetaMarginal, method)):
+            calls[_method, self.a, self.b] += 1
+            return _fn(self, x)
+        monkeypatch.setattr(BetaMarginal, method, counted)
+    got = exact_predictor_batch(truth, obs_idx, obs_vals)
+
+    assert calls == {("cdf", 2.0, 3.0): 1, ("cdf", 1.0, 1.0): 1,
+                     ("quantile", 2.0, 3.0): 1, ("quantile", 1.0, 1.0): 1}
+    np.testing.assert_array_equal(got, expected)
 
 
 def test_exact_predictor_requires_observations():

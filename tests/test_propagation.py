@@ -236,16 +236,6 @@ def test_warm_start_reaches_same_fixed_point_faster():
     assert rep_warm.sweeps <= rep_cold.sweeps
 
 
-def test_damping_preserves_fixed_point():
-    rng = np.random.default_rng(10)
-    model = _random_tree_model(rng, 6, alpha=0.7)
-    constraints = {1: np.array([0.25, 0.75])}
-    plain, _ = mbp_run(model, constraints)
-    damped, report = mbp_run(model, constraints, Schedule(damping=0.4))
-    assert report.converged
-    np.testing.assert_allclose(plain.node_beliefs, damped.node_beliefs, atol=1e-7)
-
-
 def test_batched_sweep_equals_single_runs():
     # each run in a batch keeps its own pins, warm start and damping state
     # and stops at its own convergence sweep
@@ -367,6 +357,21 @@ def test_plateau_damping_is_the_default_on_large_loopy_graphs():
     assert not pure.converged
     assert damped.converged and damped.sweeps > 40
     np.testing.assert_array_equal(state.node_beliefs[0], constraints[0])
+    # escalated damping keeps the fixed point: the pure in-place list
+    # traversal settles from the same start to the same beliefs
+    pinned = np.zeros(k * k, dtype=bool)
+    pinned[0] = True
+    bstar = np.zeros((k * k, 2))
+    bstar[0] = constraints[0]
+    listed, list_converged, _, _ = engine._sweep_sequential(
+        init.reshape(-1, 2), pinned.tolist(), bstar[:, 0].tolist(),
+        bstar[:, 1].tolist(), Schedule(auto_damp=False),
+    )
+    assert list_converged
+    np.testing.assert_allclose(
+        engine.node_beliefs(listed[None], pinned[None], bstar[None])[0],
+        state.node_beliefs, atol=1e-7,
+    )
 
 
 @pytest.mark.parametrize("kernel", ["sequential", "synchronous"])
