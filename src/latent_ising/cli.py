@@ -9,17 +9,7 @@ import sys
 
 import numpy as np
 
-from .alpha_calibration import AlphaSearchConfig, calibrate
 from .coding import DECODER_KINDS, ENCODER_KINDS, build_encoder
-from .copula_lab import (
-    BetaMarginal,
-    generate_copula,
-    grid_city,
-    pair_topology,
-    regular_tree_topology,
-    sample,
-)
-from .harness import decimate, fit_from_copula
 from .ising import GraphTopology, assemble
 from .model_io import (
     load_copula,
@@ -31,13 +21,18 @@ from .model_io import (
     save_dataset_csv,
     save_models,
 )
-from .pairwise_em import PairSamples, em_fit
 from .propagation import impose_observations, mbp_run, predict
 
+# The lab, the harness, EM and the calibration are imported by the commands
+# that use them, so that ``predict`` loads numpy alone and no scipy.
+
 RING_PARTIAL = -0.3  # precision entry coupling ring segments to their neighbors
+RESULT_COLUMNS = ("bin_low", "predictor", "mean_l1")  # read by plotdata
 
 
-def _parse_marginal(text: str) -> BetaMarginal:
+def _parse_marginal(text: str):
+    from .copula_lab import BetaMarginal
+
     kind, _, args = text.partition(":")
     if kind != "beta":
         raise SystemExit(f"unsupported marginal: {text!r} (expected beta:a,b)")
@@ -58,6 +53,14 @@ def _load(load, path, command: str):
 
 
 def _cmd_gen_model(args):
+    from .copula_lab import (
+        BetaMarginal,
+        generate_copula,
+        grid_city,
+        pair_topology,
+        regular_tree_topology,
+    )
+
     marginal = _parse_marginal(args.marginal)
     overrides = {}
     always = ()
@@ -99,6 +102,8 @@ def _cmd_gen_model(args):
 
 
 def _cmd_sample(args):
+    from .copula_lab import sample
+
     model = _load(load_copula, args.model, "sample")
     data = sample(model, args.n, seed=args.seed)
     save_dataset_csv(data, args.out)
@@ -106,6 +111,8 @@ def _cmd_sample(args):
 
 
 def _cmd_fit(args):
+    from .pairwise_em import PairSamples, em_fit
+
     pairs = _load(load_pairs_csv, args.pairs, "fit")
     n_nodes = 1 + max(max(i, j) for i, j in pairs)
     node_samples = [[] for _ in range(n_nodes)]
@@ -130,6 +137,8 @@ def _cmd_fit(args):
 
 
 def _cmd_fit_lab(args):
+    from .harness import fit_from_copula
+
     truth = _load(load_copula, args.truth, "fit-lab")
     model, data = fit_from_copula(
         truth,
@@ -147,6 +156,8 @@ def _cmd_fit_lab(args):
 
 
 def _cmd_calibrate_alpha(args):
+    from .alpha_calibration import AlphaSearchConfig, calibrate
+
     models = _load(load_models, args.model, "calibrate-alpha")
     if len(models) != 1:
         raise SystemExit("calibrate-alpha expects a single-model file")
@@ -183,6 +194,8 @@ def _cmd_predict(args):
 
 
 def _cmd_decimate(args):
+    from .harness import decimate
+
     truth = _load(load_copula, args.truth, "decimate")
     fitted = []
     for path in args.fitted.split(","):
@@ -212,12 +225,24 @@ def _cmd_decimate(args):
     print(f"wrote decimation metrics -> {args.out}")
 
 
+def _read_results(path) -> list[tuple[float, str, str]]:
+    """(bin_low, predictor, mean_l1) per row of a decimation results CSV.
+
+    A missing column or a malformed ``bin_low`` raises ``ValueError``.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in RESULT_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"results file has no column {', '.join(missing)}")
+        return [(float(r["bin_low"]), r["predictor"], r["mean_l1"]) for r in reader]
+
+
 def _cmd_plotdata(args):
-    with open(args.results, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    predictors = sorted({r["predictor"] for r in rows})
-    bins = sorted({float(r["bin_low"]) for r in rows})
-    grid = {(float(r["bin_low"]), r["predictor"]): r["mean_l1"] for r in rows}
+    rows = _load(_read_results, args.results, "plotdata")
+    predictors = sorted({p for _, p, _ in rows})
+    bins = sorted({b for b, _, _ in rows})
+    grid = {(b, p): value for b, p, value in rows}
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     writer = csv.writer(out)
     writer.writerow(["bin_low"] + predictors)

@@ -16,9 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pairwise_em import PairwiseMarginal
-
-__all__ = ["GraphTopology", "LatentIsingModel", "assemble", "exact_joint"]
+__all__ = [
+    "GraphTopology",
+    "LatentIsingModel",
+    "PairwiseMarginal",
+    "assemble",
+    "exact_joint",
+]
 
 _MARGIN_TOL = 1e-9
 
@@ -77,6 +81,35 @@ class GraphTopology:
     def factors(self) -> list[tuple[int, ...]]:
         """Edges viewed as pairwise factors of a factor graph."""
         return [tuple(e) for e in self.edges]
+
+
+@dataclass(frozen=True)
+class PairwiseMarginal:
+    """Joint law of a latent pair as (p_i1, p_j1, p_ij11) plus sample count."""
+
+    p_i1: float
+    p_j1: float
+    p_ij11: float
+    n_obs: int = 0
+
+    def domain(self) -> tuple[float, float]:
+        lo = max(0.0, self.p_i1 + self.p_j1 - 1.0)
+        hi = min(self.p_i1, self.p_j1)
+        return lo, hi
+
+    def table(self) -> np.ndarray:
+        """2x2 array indexed [s_i][s_j]."""
+        pi, pj, p11 = self.p_i1, self.p_j1, self.p_ij11
+        return np.array(
+            [[1.0 - pi - pj + p11, pj - p11], [pi - p11, p11]], dtype=float
+        )
+
+    def validate(self):
+        lo, hi = self.domain()
+        if not lo <= self.p_ij11 <= hi:
+            raise ValueError("p_ij11 outside the Frechet interval")
+        if np.any(self.table() < 0.0):
+            raise ValueError("negative cell probability")
 
 
 @dataclass(frozen=True)

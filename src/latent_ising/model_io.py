@@ -1,24 +1,42 @@
-"""JSON persistence for fitted models and copula truth models, plus the
-CSV formats used by the command line."""
+"""Persistence of fitted models and copula truth models, plus the CSV
+formats used by the command line.
+
+A fitted-model file (``save_models``) is one ``.npz`` container, written
+under whatever name the caller gives.  It holds
+
+- ``header``: UTF-8 JSON bytes, ``{"schema": 2, "models": [...]}``, each
+  model being the ``model_to_dict`` payload without ``cdf_samples``;
+- ``samples_<k>`` and ``offsets_<k>`` for model k: every node's sorted
+  ECDF samples as one flat float64 block, node p's samples at
+  ``samples_<k>[offsets_<k>[p]:offsets_<k>[p + 1]]``, p being the node's
+  position in the header's node list.  Nodes may hold different counts.
+
+``load_models`` tells the container from a legacy file by its first four
+bytes, not by its name.  It reads the container with ``allow_pickle=False``,
+so an object array in it is refused without being unpickled.  A legacy
+file, a JSON ``model_to_dict`` payload or ``{"models": [...]}`` of them
+without a ``schema`` field, loads as it always did.
+
+Truth models stay JSON.  ``copula_lab``, and with it ``scipy.special``, is
+imported by the truth-file and dataset functions only, so that loading a
+fitted model needs numpy alone.
+"""
 
 from __future__ import annotations
 
 import csv
 import json
+import zipfile
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .coding import ENCODER_KINDS
-from .copula_lab import (
-    BetaMarginal,
-    CopulaModel,
-    Dataset,
-    EmpiricalMarginal,
-    _copula_from_precision,
-)
 from .ecdf import EmpiricalCdf
-from .ising import GraphTopology, LatentIsingModel, assemble
-from .pairwise_em import PairwiseMarginal
+from .ising import GraphTopology, LatentIsingModel, PairwiseMarginal, assemble
+
+if TYPE_CHECKING:
+    from .copula_lab import CopulaModel, Dataset
 
 __all__ = [
     "model_to_dict",
@@ -35,17 +53,16 @@ __all__ = [
     "load_pairs_csv",
 ]
 
+SCHEMA = 2  # version of the .npz model container
+_NPZ_MAGIC = b"PK\x03\x04"  # a zip archive, as np.savez writes it
 
-def model_to_dict(model: LatentIsingModel) -> dict:
+
+def _header(model: LatentIsingModel) -> dict:
+    """The ``model_to_dict`` payload without the nodes' samples."""
     if model.encoders is None:
         raise ValueError("only fitted models (with encoders) are serialized")
     nodes = [
-        {
-            "id": i,
-            "encoder": enc.kind,
-            "p1": enc.p1,
-            "cdf_samples": enc.cdf.sorted_samples.tolist(),
-        }
+        {"id": i, "encoder": enc.kind, "p1": enc.p1}
         for i, enc in enumerate(model.encoders)
     ]
     edges = [
@@ -55,8 +72,17 @@ def model_to_dict(model: LatentIsingModel) -> dict:
     return {"alpha": model.alpha, "nodes": nodes, "edges": edges}
 
 
+def model_to_dict(model: LatentIsingModel) -> dict:
+    """The JSON payload of a fitted model, samples inline (the legacy file)."""
+    payload = _header(model)
+    for d, enc in zip(payload["nodes"], model.encoders):
+        d["cdf_samples"] = enc.cdf.sorted_samples.tolist()
+    return payload
+
+
 def model_from_dict(payload: dict) -> LatentIsingModel:
-    """The fitted model of a ``model_to_dict`` payload.
+    """The fitted model of a ``model_to_dict`` payload; ``cdf_samples`` may
+    be any 1-d array of floats.
 
     A missing field, an edge endpoint that is not a node id or an invalid
     value raises ``ValueError`` naming the node or edge it belongs to.
@@ -105,24 +131,89 @@ def _reason(exc: Exception) -> str:
 
 
 def save_models(models, path):
+    """Write one model or a list of models as an ``.npz`` container at
+    ``path`` exactly (``np.savez`` given a name would append ``.npz``)."""
     models = [models] if isinstance(models, LatentIsingModel) else list(models)
-    if len(models) == 1:
-        payload = model_to_dict(models[0])
-    else:
-        payload = {"models": [model_to_dict(m) for m in models]}
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
+    arrays = {}
+    headers = []
+    for k, model in enumerate(models):
+        headers.append(_header(model))
+        samples = [enc.cdf.sorted_samples for enc in model.encoders]
+        arrays[f"samples_{k}"] = np.concatenate(samples)
+        arrays[f"offsets_{k}"] = np.cumsum([0] + [s.size for s in samples])
+    header = json.dumps({"schema": SCHEMA, "models": headers}).encode()
+    arrays["header"] = np.frombuffer(header, dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def load_models(path) -> list[LatentIsingModel]:
-    with open(path) as fh:
-        payload = json.load(fh)
+    """The models of a ``save_models`` container or of a legacy JSON file.
+
+    A file of neither kind, an unknown ``schema``, a missing entry or a
+    malformed block raises ``ValueError``.
+    """
+    with open(path, "rb") as fh:
+        if fh.read(len(_NPZ_MAGIC)) == _NPZ_MAGIC:
+            fh.seek(0)
+            return _load_container(fh)
+        fh.seek(0)
+        payload = json.loads(fh.read())
+    if "schema" in payload:
+        _check_schema(payload["schema"])
     if "models" in payload:
         return [model_from_dict(d) for d in payload["models"]]
     return [model_from_dict(payload)]
 
 
+def _check_schema(schema):
+    if schema != SCHEMA:
+        raise ValueError(f"unknown model file schema {schema!r} (expected {SCHEMA})")
+
+
+def _load_container(fh) -> list[LatentIsingModel]:
+    try:
+        with np.load(fh, allow_pickle=False) as npz:
+            header = json.loads(_entry(npz, "header").tobytes())
+            _check_schema(header.get("schema"))
+            return [
+                _with_samples(payload, _entry(npz, f"samples_{k}"),
+                              _entry(npz, f"offsets_{k}"), k)
+                for k, payload in enumerate(header["models"])
+            ]
+    except zipfile.BadZipFile as exc:
+        raise ValueError(f"corrupt model file: {exc}") from None
+    except KeyError as exc:
+        raise ValueError(_reason(exc)) from None
+
+
+def _entry(npz, name: str) -> np.ndarray:
+    if name not in npz.files:
+        raise ValueError(f"model file has no {name!r} entry")
+    return npz[name]
+
+
+def _with_samples(payload: dict, samples, offsets, k: int) -> LatentIsingModel:
+    """Model ``k`` of a container: its header with each node's slice of the
+    sample block put back as ``cdf_samples``."""
+    nodes = payload["nodes"]
+    if (
+        samples.ndim != 1
+        or offsets.shape != (len(nodes) + 1,)
+        or offsets.dtype.kind not in "iu"
+        or offsets[0] != 0
+        or offsets[-1] != samples.size
+        or np.any(np.diff(offsets) < 0)
+    ):
+        raise ValueError(f"model {k}: sample offsets do not fit its block")
+    for d, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+        d["cdf_samples"] = samples[lo:hi]
+    return model_from_dict(payload)
+
+
 def _marginal_from_spec(spec: dict):
+    from .copula_lab import BetaMarginal, EmpiricalMarginal
+
     if spec["kind"] == "beta":
         return BetaMarginal(float(spec["a"]), float(spec["b"]))
     if spec["kind"] == "empirical":
@@ -144,6 +235,8 @@ def copula_to_dict(model: CopulaModel) -> dict:
 def copula_from_dict(payload: dict) -> CopulaModel:
     """The truth model of a ``copula_to_dict`` payload; a missing field or
     an invalid value raises ``ValueError``."""
+    from .copula_lab import _copula_from_precision
+
     try:
         topology = GraphTopology(
             int(payload["n_nodes"]), tuple(tuple(e) for e in payload["edges"])
@@ -182,6 +275,8 @@ def load_dataset_csv(path) -> Dataset:
     A malformed cell or a row of the wrong width raises ``ValueError``
     naming its line.
     """
+    from .copula_lab import Dataset
+
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
+from .ising import PairwiseMarginal  # re-exported; lives in ising, which needs no scipy
+
 _EPS = 1e-9  # clamp shrink keeping couplings finite when p11 saturates
 
 __all__ = ["PairSamples", "PairwiseMarginal", "em_fit", "em_iterates", "log_likelihood"]
@@ -53,35 +55,6 @@ class PairSamples:
     @property
     def count(self) -> int:
         return int(self.xi.size)
-
-
-@dataclass(frozen=True)
-class PairwiseMarginal:
-    """Joint law of a latent pair as (p_i1, p_j1, p_ij11) plus sample count."""
-
-    p_i1: float
-    p_j1: float
-    p_ij11: float
-    n_obs: int = 0
-
-    def domain(self) -> tuple[float, float]:
-        lo = max(0.0, self.p_i1 + self.p_j1 - 1.0)
-        hi = min(self.p_i1, self.p_j1)
-        return lo, hi
-
-    def table(self) -> np.ndarray:
-        """2x2 array indexed [s_i][s_j]."""
-        pi, pj, p11 = self.p_i1, self.p_j1, self.p_ij11
-        return np.array(
-            [[1.0 - pi - pj + p11, pj - p11], [pi - p11, p11]], dtype=float
-        )
-
-    def validate(self):
-        lo, hi = self.domain()
-        if not lo <= self.p_ij11 <= hi:
-            raise ValueError("p_ij11 outside the Frechet interval")
-        if np.any(self.table() < 0.0):
-            raise ValueError("negative cell probability")
 
 
 def _cell_products(samples: PairSamples, enc_i, enc_j, codes=None):

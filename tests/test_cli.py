@@ -1,11 +1,16 @@
 import csv
+import importlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import latent_ising
 from latent_ising.cli import main
-from latent_ising.model_io import load_models
+from latent_ising.model_io import load_models, model_to_dict
 
 
 def run(*args):
@@ -190,7 +195,7 @@ def _empty_cdf_samples(model):
 def test_malformed_model_file_is_one_line_error(pair_files, tmp_path, corrupt,
                                                 message):
     _, fitted, obs = pair_files
-    payload = json.loads(fitted.read_text())
+    payload = model_to_dict(load_models(fitted)[0])  # a legacy JSON model file
     corrupt(payload)
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(payload))
@@ -227,3 +232,67 @@ def test_malformed_truth_file_is_one_line_error(pair_files, tmp_path, corrupt,
         main(["decimate", "--truth", str(broken), "--fitted", str(fitted),
               "--predictors", "exact", "--out", str(tmp_path / "dec.csv")])
     assert str(exc.value) == f"decimate: {message}"
+
+
+def test_plotdata_names_missing_columns(tmp_path):
+    results = tmp_path / "results.csv"
+    results.write_text("a,b\n1,2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["plotdata", "--results", str(results)])
+    assert str(exc.value) == (
+        "plotdata: results file has no column bin_low, predictor, mean_l1"
+    )
+
+
+# the package's public names and the module each one comes from
+PUBLIC_NAMES = {
+    "alpha_calibration": ["AlphaSearchConfig", "calibrate", "deviation"],
+    "coding": ["BayesMeanStep", "BayesMedianStep", "BayesQuadCdf", "CdfEncoder",
+               "InverseCdf", "MedianStepEncoder", "build_decoder", "build_encoder",
+               "conditional_cdfs", "jeffrey_update", "marginal_p1"],
+    "copula_lab": ["BetaMarginal", "CopulaModel", "Dataset", "EmpiricalMarginal",
+                   "exact_predictor", "generate_copula", "grid_city",
+                   "knn_predictor", "median_predictor", "pair_topology",
+                   "regular_tree_topology", "sample"],
+    "ecdf": ["EmpiricalCdf"],
+    "harness": ["DecimationResult", "decimate", "fit_from_copula"],
+    "ising": ["GraphTopology", "LatentIsingModel", "PairwiseMarginal", "assemble",
+              "exact_joint"],
+    "pairwise_em": ["PairSamples", "PairwiseMarginal", "em_fit", "log_likelihood"],
+    "propagation": ["BeliefState", "ConvergenceReport", "Engine", "ForestSolver",
+                    "Schedule", "bp_run", "graph_cut_check", "impose_observations",
+                    "mbp_run", "predict"],
+}
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(latent_ising.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, latent_ising.cli; print(*sorted(sys.modules))"
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True, timeout=60).stdout.split()
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    lazy = {f"latent_ising.{m}"
+            for m in ("harness", "copula_lab", "pairwise_em", "alpha_calibration")}
+    assert lazy.isdisjoint(loaded)
+
+
+@pytest.mark.parametrize("module", sorted(PUBLIC_NAMES))
+def test_package_names_resolve_lazily(module):
+    home = importlib.import_module(f"latent_ising.{module}")
+    for name in PUBLIC_NAMES[module]:
+        namespace = {}
+        exec(f"from latent_ising import {name}", namespace)
+        assert namespace[name] is getattr(home, name)
+        assert name in dir(latent_ising)
+    exec(f"from latent_ising import {module}", namespace)
+    assert namespace[module] is home
+    assert module in dir(latent_ising)
+
+
+def test_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        latent_ising.no_such_name
+    with pytest.raises(ImportError):
+        from latent_ising import no_such_name  # noqa: F401

@@ -1,7 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
 from latent_ising import (
+    GraphTopology,
+    PairwiseMarginal,
+    assemble,
+    build_encoder,
     generate_copula,
     fit_from_copula,
     mbp_run,
@@ -9,6 +15,7 @@ from latent_ising import (
     regular_tree_topology,
     sample,
 )
+from latent_ising.cli import main
 from latent_ising.model_io import (
     copula_from_dict,
     copula_to_dict,
@@ -50,6 +57,149 @@ def test_model_roundtrip(small_fit, tmp_path):
     a, _ = mbp_run(fitted, cons)
     b, _ = mbp_run(model, cons)
     np.testing.assert_allclose(a.node_beliefs, b.node_beliefs, atol=1e-12)
+
+
+def _ragged_models():
+    """A cdf and a median-step model on a 3-node chain whose nodes hold 37,
+    80 and 5 training samples, as ``latent-ising fit`` on a pairs CSV gives."""
+    rng = np.random.default_rng(11)
+    columns = [rng.uniform(size=n) for n in (37, 80, 5)]
+    topology = GraphTopology(3, ((0, 1), (1, 2)))
+    models = []
+    for kind, alpha in (("cdf", 0.37), ("median-step", 1.0)):
+        encoders = [build_encoder(kind, x) for x in columns]
+        marginals = []
+        for i, j in topology.edges:
+            lo, hi = PairwiseMarginal(encoders[i].p1, encoders[j].p1, 0.0).domain()
+            marginals.append(PairwiseMarginal(encoders[i].p1, encoders[j].p1,
+                                              lo + 0.7 * (hi - lo), n_obs=5 + i))
+        models.append(assemble(topology, marginals, alpha, encoders=encoders))
+    return models
+
+
+def _assert_same_model(a, b):
+    assert a.alpha == b.alpha
+    assert a.topology == b.topology
+    np.testing.assert_array_equal(a.node_p1, b.node_p1)
+    np.testing.assert_array_equal(a.psi, b.psi)
+    assert a.marginals == b.marginals
+    for enc_a, enc_b in zip(a.encoders, b.encoders, strict=True):
+        assert enc_a.kind == enc_b.kind
+        np.testing.assert_array_equal(enc_a.cdf.sorted_samples,
+                                      enc_b.cdf.sorted_samples)
+
+
+def test_container_roundtrip_is_bit_identical(tmp_path):
+    models = _ragged_models()
+    path = tmp_path / "models.json"  # any name: the container keeps it
+    save_models(models, path)
+    assert path.read_bytes()[:4] == b"PK\x03\x04"
+    assert not (tmp_path / "models.json.npz").exists()
+    loaded = load_models(path)
+    assert len(loaded) == 2
+    for a, b in zip(models, loaded):
+        _assert_same_model(a, b)
+    assert [enc.cdf.n for enc in loaded[0].encoders] == [37, 80, 5]
+
+
+@pytest.mark.parametrize("several", [False, True])
+def test_legacy_json_file_loads(tmp_path, several):
+    models = _ragged_models()
+    payload = ({"models": [model_to_dict(m) for m in models]} if several
+               else model_to_dict(models[0]))
+    path = tmp_path / "legacy.json"
+    path.write_text(json.dumps(payload))
+    loaded = load_models(path)
+    assert len(loaded) == (2 if several else 1)
+    for a, b in zip(models, loaded):
+        _assert_same_model(a, b)
+
+
+def _rewrite(path, **entries):
+    """Replace entries of a model container in place."""
+    with np.load(path) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    arrays.update(entries)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _header_bytes(path, **fields):
+    with np.load(path) as npz:
+        header = json.loads(npz["header"].tobytes())
+    header.update(fields)
+    return np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+
+
+_TRIPPED = []
+
+
+def _trip():
+    _TRIPPED.append(True)
+
+
+class _Tripwire:
+    """Unpickling an instance calls ``_trip``."""
+
+    def __reduce__(self):
+        return _trip, ()
+
+
+def _unknown_schema(path):
+    _rewrite(path, header=_header_bytes(path, schema=3))
+
+
+def _unknown_schema_json(path):
+    payload = model_to_dict(load_models(path)[0])
+    payload["schema"] = 3
+    path.write_text(json.dumps(payload))
+
+
+def _object_block(path):
+    _rewrite(path, samples_0=np.array([_Tripwire()], dtype=object))
+
+
+def _bad_offsets(path):
+    _rewrite(path, offsets_0=np.array([0, 7, 3]))
+
+
+def _missing_block(path):
+    with np.load(path) as npz:
+        arrays = {name: npz[name] for name in npz.files if name != "samples_0"}
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _truncated(path):
+    path.write_bytes(path.read_bytes()[:100])
+
+
+MODEL_FILE_ERRORS = [
+    (_unknown_schema, "unknown model file schema 3 (expected 2)"),
+    (_unknown_schema_json, "unknown model file schema 3 (expected 2)"),
+    (_object_block, "Object arrays cannot be loaded when allow_pickle=False"),
+    (_bad_offsets, "model 0: sample offsets do not fit its block"),
+    (_missing_block, "model file has no 'samples_0' entry"),
+    (_truncated, "corrupt model file: File is not a zip file"),
+]
+
+
+@pytest.mark.parametrize("corrupt, message", MODEL_FILE_ERRORS)
+def test_malformed_container_is_rejected(small_fit, tmp_path, corrupt, message):
+    _, fitted, _ = small_fit
+    path = tmp_path / "model.json"
+    save_models(fitted, path)
+    corrupt(path)
+    with pytest.raises(ValueError) as exc:
+        load_models(path)
+    assert str(exc.value) == message
+    assert _TRIPPED == []  # the object block was never unpickled
+
+    obs = tmp_path / "obs.csv"
+    obs.write_text("node,value\n0,0.3\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--model", str(path), "--obs", str(obs)])
+    assert str(exc.value) == f"predict: {message}"
 
 
 def test_multi_model_file(small_fit, tmp_path):
