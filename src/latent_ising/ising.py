@@ -13,6 +13,7 @@ alpha < 1 tempers the couplings to compensate overcounting on loops.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,9 +61,9 @@ class GraphTopology:
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
 
-    @property
+    @cached_property
     def is_forest(self) -> bool:
-        """True when the graph has no cycle."""
+        """True when the graph has no cycle; computed once per topology."""
         root = list(range(self.n_nodes))
 
         def find(v):

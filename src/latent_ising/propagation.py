@@ -5,20 +5,21 @@ node whose belief is pinned to b* does not relay information: it reflects
 each factor's message back as b* / m, so at a fixed point its belief equals
 b* exactly while the rest of the graph re-balances around it.
 
-A run picks its traversal from the size of the graph.  On small graphs
-(at most ``_LIST_MAX_SLOTS`` directed (factor, endpoint) message slots) a
-pure-Python sweep updates the slots in place in fixed order; above that,
-the vectorized synchronous kernel updates every slot at once, and it can
-step many independent runs on one model together (``Engine.sweep``).
-Both have the same fixed points.  Convergence is declared when the largest
-message change over a sweep drops below the tolerance.  Non-convergence is
-reported, never raised.
-
-On a forest that fixed point is also reached exactly, without sweeps:
+On a forest the fixed point is reached exactly, without sweeps:
 ``ForestSolver`` finds the observed nodes' tilts by Newton's method on the
 dual of the I-projection, one exact two-pass BP per iteration, batched
-over independent runs.  ``harness.decimate`` solves forest models with it
-and sweeps loopy ones; ``Engine.run`` always sweeps.
+over independent runs.  ``harness.decimate`` solves forest models with it,
+and ``Engine.run`` sends it every constrained run on a forest of more than
+``_LIST_MAX_SLOTS`` directed (factor, endpoint) message slots.
+
+Every other run sweeps, with a traversal picked from the size of the
+graph.  On small graphs (at most ``_LIST_MAX_SLOTS`` slots) a pure-Python
+sweep updates the slots in place in fixed order; above that, the
+vectorized synchronous kernel updates every slot at once, and it can step
+many independent runs on one model together (``Engine.sweep``).  Both have
+the same fixed points.  Convergence is declared when the largest message
+change over a sweep drops below the tolerance.  Non-convergence is
+reported, never raised.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ class Schedule:
     setting: ``Engine.run`` sweeps graphs of at most ``_LIST_MAX_SLOTS``
     message slots in place in fixed (factor, endpoint) order and larger
     ones with the synchronous kernel, which updates every slot from the
-    previous sweep's messages.
+    previous sweep's messages.  A constrained run on a larger forest does
+    not sweep: ``ForestSolver`` solves it, and the schedule does not apply.
     ``auto_damp`` engages damping 0.5 mid-run if the residual plateaus,
     and raises it further on later plateaus, which rescues period-2
     message oscillations of synchronous sweeps without changing the fixed
@@ -92,9 +94,15 @@ class Schedule:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
+    """How a run ended.  ``method`` names the solver: ``"sweep"`` for
+    message-passing sweeps, ``"newton"`` for ``ForestSolver``, whose
+    ``sweeps`` counts Newton steps and whose ``residual`` is the largest
+    gap between an observed node's belief and its target."""
+
     converged: bool
     sweeps: int
     residual: float
+    method: str = "sweep"
 
 
 @dataclass(frozen=True)
@@ -173,14 +181,17 @@ class Engine:
                         dtype=np.intp))
             for k in range(int(degrees.max(initial=0)))
         ]
+        self._forest = None  # ForestSolver, built on the first forest run
 
     def run(self, constraints=None, schedule: Schedule | None = None,
             init_messages=None):
-        """Sweep to a fixed point; returns (BeliefState, ConvergenceReport).
+        """Run to a fixed point; returns (BeliefState, ConvergenceReport).
 
-        Graphs of at most ``_LIST_MAX_SLOTS`` slots run the list traversal,
-        larger ones ``sweep`` with a single run.  Constraint keys must be
-        node ids in 0..N-1.
+        Graphs of at most ``_LIST_MAX_SLOTS`` slots run the list traversal.
+        On a larger forest a run with constraints is solved exactly by
+        ``ForestSolver`` from zero tilts; ``schedule`` and ``init_messages``
+        are validated but do not steer it.  Every other run is ``sweep``
+        with a single run.  Constraint keys must be node ids in 0..N-1.
         """
         schedule = schedule or Schedule()
         constraints = dict(constraints or {})
@@ -208,6 +219,9 @@ class Engine:
                 _normalized(init), pinned.tolist(), bstar[:, 0].tolist(),
                 bstar[:, 1].tolist(), schedule,
             )
+        elif pinned.any() and self.model.topology.is_forest:
+            _normalized(init)  # validated only: the solver starts from zero tilts
+            return self._solve_forest(pinned, bstar, constraints)
         else:
             m, converged, sweeps, residual = (
                 x[0] for x in self.sweep(init[None], pinned[None], bstar[None],
@@ -222,6 +236,23 @@ class Engine:
             m.reshape(self.model.topology.n_edges, 2, 2), constraints,
         )
         return state, ConvergenceReport(converged, sweeps, float(residual))
+
+    def _solve_forest(self, pinned, bstar, constraints):
+        """One constrained run on a forest, solved by ``ForestSolver`` from
+        zero tilts.  Beliefs, pair beliefs and messages all come from the
+        solver's two-pass BP; a non-finite one is never reported as
+        converged."""
+        if self._forest is None:
+            self._forest = ForestSolver(self.model)
+        observed, bstar = pinned[None], bstar[None]
+        beliefs, theta, converged, steps, residual = self._forest.solve(
+            observed, bstar, np.zeros(observed.shape))
+        edge_beliefs, messages = self._forest.edge_state(observed, bstar, theta)
+        finite = all(np.isfinite(a).all() for a in (beliefs, edge_beliefs, messages))
+        state = BeliefState(beliefs[0], edge_beliefs[0], messages[0], constraints)
+        report = ConvergenceReport(bool(converged[0]) and finite, int(steps[0]),
+                                   float(residual[0]), "newton")
+        return state, report
 
     def _sweep_sequential(self, init, pinned, bstar0, bstar1, schedule: Schedule):
         m0 = init[:, 0].tolist()
@@ -472,11 +503,16 @@ class ForestSolver:
         self._par = self._inv[np.asarray([parent[v] for v in order[nr:]],
                                          dtype=np.intp)]
         self._starts, self._heads = _runs(self._par)
-        # psi oriented (child, parent) at every non-root position
+        # psi oriented (child, parent) at every non-root position; every
+        # edge's child position, and whether the child is its second end
         psi = np.ones((n, 2, 2))
+        self._edge_pos = np.empty(topo.n_edges, dtype=np.intp)
+        self._edge_flip = np.empty(topo.n_edges, dtype=bool)
         for k in range(nr, n):
             e = parent_edge[order[k]]
-            psi[k] = model.psi[e] if topo.edges[e][0] == order[k] else model.psi[e].T
+            self._edge_pos[e] = k
+            self._edge_flip[e] = topo.edges[e][1] == order[k]
+            psi[k] = model.psi[e].T if self._edge_flip[e] else model.psi[e]
         depths = np.asarray(depth, dtype=np.intp)[self._perm]
         bounds = np.searchsorted(depths, np.arange(depths.max(initial=0) + 2))
         # per level below the roots: slice, parents, reduceat groups, psi
@@ -505,19 +541,14 @@ class ForestSolver:
         observed = np.asarray(observed, dtype=bool)
         bstar = np.asarray(bstar, dtype=float)
         perm, nr = self._perm, self._n_roots
-        obs = observed[:, perm]
+        obs, hard, soft, base0, base1 = self._evidence(observed, bstar)
         target = bstar[:, perm, 1]
-        hard = obs & ((target == 0.0) | (target == 1.0))
-        soft = obs & ~hard
         if theta is None:
             theta = reveal_tilt(target, self._prior1)
         else:
             theta = np.asarray(theta, dtype=float)[:, perm]
         theta = np.where(soft, np.clip(theta, -_THETA_MAX, _THETA_MAX), 0.0)
         target = np.where(soft, target, 0.0)
-        # evidence weights of the nodes outside Newton: clamped or flat
-        base0 = np.where(hard, bstar[:, perm, 0], 1.0)
-        base1 = np.where(hard, bstar[:, perm, 1], 1.0)
         hid = ~obs
         free_edge = ~hard[:, nr:] & ~np.take(hard, self._par, axis=1)
         hid_edge = hid[:, nr:] & np.take(hid, self._par, axis=1)
@@ -590,26 +621,66 @@ class ForestSolver:
         beliefs = np.where(observed[..., None], bstar, beliefs)
         return beliefs, np.take(out_theta, inv, axis=1), converged, iterations, residual
 
+    def edge_state(self, observed, bstar, theta):
+        """Pair beliefs and messages of R runs at the tilts ``theta`` that
+        ``solve`` returned, both shaped (R, n_edges, 2, 2) in ``Engine``'s
+        layout: pair beliefs indexed [s_i, s_j] for edge (i, j), and
+        ``messages[:, e, 0]`` flowing toward i, ``messages[:, e, 1]`` toward
+        j, each summing to one.  They come from the same two-pass BP as the
+        beliefs, whose upward messages are max-scaled, so a hub with many
+        children keeps finite values."""
+        _, _, soft, base0, base1 = self._evidence(np.asarray(observed, dtype=bool),
+                                                  np.asarray(bstar, dtype=float))
+        theta = np.asarray(theta, dtype=float)[:, self._perm]
+        w0, w1, _ = self._weights(theta, soft, base0, base1)
+        pairs, up, down = self._evaluate(w0, w1, full=True)
+        pos, flip = self._edge_pos, self._edge_flip
+        pairs = pairs[:, pos]
+        pairs = np.where(flip[:, None, None], pairs.swapaxes(-1, -2), pairs)
+        up, down = up[:, pos], down[:, pos]  # toward the parent, the child
+        up /= up.sum(axis=-1, keepdims=True)
+        down /= down.sum(axis=-1, keepdims=True)
+        f = flip[:, None]
+        return pairs, np.stack([np.where(f, up, down), np.where(f, down, up)], axis=2)
+
+    def _evidence(self, observed, bstar):
+        """Per run in breadth-first order: the observed, hard (b* of 0 or
+        1) and soft observed nodes, and the evidence weights of the nodes
+        outside Newton, clamped or flat."""
+        perm = self._perm
+        obs = observed[:, perm]
+        b0, b1 = bstar[:, perm, 0], bstar[:, perm, 1]
+        hard = obs & ((b1 == 0.0) | (b1 == 1.0))
+        return obs, hard, obs & ~hard, np.where(hard, b0, 1.0), np.where(hard, b1, 1.0)
+
     def _point(self, theta, soft, target, base0, base1):
-        """Beliefs, pair beliefs and the dual at tilts ``theta``.  The soft
-        nodes' potential is (1 − σ(θ), σ(θ)), formed from exp(−|θ|) so
-        that no tilt overflows."""
-        e = np.exp(-np.abs(theta))
-        scale = 1.0 / (1.0 + e)
-        pos = theta >= 0.0
-        w0 = np.where(soft, np.where(pos, e, 1.0) * scale, base0)
-        w1 = np.where(soft, np.where(pos, 1.0, e) * scale, base1)
+        """Beliefs, pair beliefs and the dual at tilts ``theta``."""
+        w0, w1, e = self._weights(theta, soft, base0, base1)
         b0, b1, p11, log_z = self._evaluate(w0, w1)
         # log Z(θ) = log Z(w) + Σ softplus(θ_i)
         softplus = np.maximum(theta, 0.0) + np.log1p(e)
         dual = log_z + np.where(soft, softplus - theta * target, 0.0).sum(axis=1)
         return b0, b1, p11, dual
 
-    def _evaluate(self, w0, w1):
+    @staticmethod
+    def _weights(theta, soft, base0, base1):
+        """Evidence weights of both states and exp(−|θ|): the soft nodes'
+        potential (1 − σ(θ), σ(θ)), formed from exp(−|θ|) so that no tilt
+        overflows, and the base weights elsewhere."""
+        e = np.exp(-np.abs(theta))
+        scale = 1.0 / (1.0 + e)
+        pos = theta >= 0.0
+        w0 = np.where(soft, np.where(pos, e, 1.0) * scale, base0)
+        w1 = np.where(soft, np.where(pos, 1.0, e) * scale, base1)
+        return w0, w1, e
+
+    def _evaluate(self, w0, w1, full=False):
         """Exact two-pass BP with node evidence weights w (R, n) in
         breadth-first order.  Returns the beliefs of state 0 and state 1,
         the [1, 1] entry of each (child, parent) pair belief at the child's
-        position, and log Z."""
+        position, and log Z.  With ``full`` it returns, at every child's
+        position, the (child, parent) pair belief, and the messages to the
+        parent (max-scaled) and from it (unscaled)."""
         u0 = self._phi0 * w0
         u1 = self._phi1 * w1
         mu0, mu1 = np.empty_like(u0), np.empty_like(u1)
@@ -634,17 +705,32 @@ class ForestSolver:
         log_z += np.log(z).sum(axis=1)
         b0[:, :nr] = u0[:, :nr] / z
         b1[:, :nr] = u1[:, :nr] / z
+        if full:
+            pairs = np.zeros(u0.shape + (2, 2))
+            down = np.ones(u0.shape + (2,))
         # downward: the parent's belief over the child's message is the
         # parent-side factor of the pair belief
         for lo, hi, par, _, _, p00, p01, p10, p11 in self._levels:
             o0 = np.take(b0, par, axis=1) / mu0[:, lo:hi]
             o1 = np.take(b1, par, axis=1) / mu1[:, lo:hi]
-            t0 = u0[:, lo:hi] * (p00 * o0 + p01 * o1)
-            t1 = u1[:, lo:hi] * (p10 * o0 + p11 * o1)
+            d0 = p00 * o0 + p01 * o1  # the message from the parent
+            d1 = p10 * o0 + p11 * o1
+            a0, a1 = u0[:, lo:hi], u1[:, lo:hi]
+            t0 = a0 * d0
+            t1 = a1 * d1
             tot = t0 + t1
             b0[:, lo:hi] = t0 / tot
             b1[:, lo:hi] = t1 / tot
-            pair11[:, lo:hi] = u1[:, lo:hi] * p11 * o1 / tot
+            pair11[:, lo:hi] = a1 * p11 * o1 / tot
+            if full:
+                a0, a1 = a0 / tot, a1 / tot
+                pairs[:, lo:hi, 0, 0] = a0 * p00 * o0
+                pairs[:, lo:hi, 0, 1] = a0 * p01 * o1
+                pairs[:, lo:hi, 1, 0] = a1 * p10 * o0
+                pairs[:, lo:hi, 1, 1] = a1 * p11 * o1
+                down[:, lo:hi, 0], down[:, lo:hi, 1] = d0, d1
+        if full:
+            return pairs, np.stack([mu0, mu1], axis=-1), down
         return b0, b1, pair11, log_z
 
     def _direction(self, b0, b1, p11, g, soft, hid, free_edge, hid_edge):

@@ -35,6 +35,18 @@ def _random_tree_model(rng, n, alpha=1.0):
     return assemble(GraphTopology(n, tuple(edges)), marginals, alpha)
 
 
+def _random_loopy_model(rng, n, alpha=1.0):
+    """Random tree plus one chord: a single cycle."""
+    edges = random_tree_edges(rng, n)
+    while True:
+        i, j = sorted(int(v) for v in rng.choice(n, size=2, replace=False))
+        if (i, j) not in edges:
+            break
+    edges.append((i, j))
+    _, marginals = random_consistent_marginals(rng, edges, n)
+    return assemble(GraphTopology(n, tuple(edges)), marginals, alpha)
+
+
 def _random_init(rng, n_edges):
     init = rng.uniform(0.1, 0.9, size=(n_edges, 2, 2))
     return init / init.sum(axis=2, keepdims=True)
@@ -288,12 +300,16 @@ def _pinned_query(rng, n):
 
 @pytest.mark.parametrize("n_slots", [_LIST_MAX_SLOTS, _LIST_MAX_SLOTS + 2])
 def test_run_picks_the_traversal_from_the_graph_size(n_slots):
-    # at or below the constant Engine.run is the list traversal, above it a
-    # one-run Engine.sweep, bit for bit
+    # at or below the constant Engine.run is the list traversal, above it on
+    # a loopy graph a one-run Engine.sweep, bit for bit
     rng = np.random.default_rng(15)
     schedule = Schedule()
     for _ in range(5):
-        engine = Engine(_random_tree_model(rng, n_slots // 2 + 1))
+        if n_slots <= _LIST_MAX_SLOTS:
+            engine = Engine(_random_tree_model(rng, n_slots // 2 + 1))
+        else:
+            engine = Engine(_random_loopy_model(rng, n_slots // 2))
+            assert not engine.model.topology.is_forest
         assert engine.n_slots == n_slots
         constraints, pinned, bstar = _pinned_query(rng, engine.model.topology.n_nodes)
         init = rng.uniform(0.1, 0.9, size=(engine.n_slots, 2))
@@ -313,6 +329,30 @@ def test_run_picks_the_traversal_from_the_graph_size(n_slots):
         np.testing.assert_array_equal(state.node_beliefs, beliefs)
         assert (report.converged, report.sweeps, report.residual) == (
             converged, sweeps, residual)
+        assert report.method == "sweep"
+
+
+def test_run_solves_constrained_forests_above_the_list_size():
+    # a constrained tree of more than _LIST_MAX_SLOTS slots is a one-run
+    # ForestSolver.solve from zero tilts, bit for bit; without constraints
+    # it still sweeps
+    rng = np.random.default_rng(15)
+    n = _LIST_MAX_SLOTS // 2 + 2
+    for _ in range(5):
+        model = _random_tree_model(rng, n, alpha=1.0 - rng.random())
+        engine = Engine(model)
+        assert engine.n_slots == _LIST_MAX_SLOTS + 2
+        constraints, pinned, bstar = _pinned_query(rng, n)
+        assert constraints
+        state, report = engine.run(constraints)
+        beliefs, _, converged, steps, residual = ForestSolver(model).solve(
+            pinned[None], bstar[None], np.zeros((1, n)))
+        np.testing.assert_array_equal(state.node_beliefs, beliefs[0])
+        assert (report.converged, report.sweeps, report.residual, report.method) == (
+            converged[0], steps[0], residual[0], "newton")
+        assert report.converged
+        _, free = engine.run()
+        assert free.converged and free.method == "sweep"
 
 
 def test_traversals_agree_on_trees():
@@ -388,17 +428,19 @@ def test_underflowing_node_product_is_not_converged(kernel):
     bstar = np.zeros((n, 2))
     bstar[5] = [0.2, 0.8]
     schedule = Schedule(max_sweeps=3)
+    init = np.full((engine.n_slots, 2), 0.5)
     with np.errstate(invalid="ignore"):
         if kernel == "sequential":  # the list traversal, called directly
             m, converged, sweeps, residual = engine._sweep_sequential(
-                np.full((engine.n_slots, 2), 0.5), pinned.tolist(),
-                bstar[:, 0].tolist(), bstar[:, 1].tolist(), schedule,
+                init, pinned.tolist(), bstar[:, 0].tolist(), bstar[:, 1].tolist(),
+                schedule,
             )
-            beliefs = engine.node_beliefs(m[None], pinned[None], bstar[None])[0]
-        else:
-            state, report = engine.run({5: bstar[5]}, schedule)
-            converged, sweeps = report.converged, report.sweeps
-            residual, beliefs = report.residual, state.node_beliefs
+        else:  # the synchronous kernel, called directly
+            m, converged, sweeps, residual = (
+                x[0] for x in engine.sweep(init[None], pinned[None], bstar[None],
+                                           schedule)
+            )
+        beliefs = engine.node_beliefs(m[None], pinned[None], bstar[None])[0]
     assert not converged
     assert sweeps == 3
     assert np.isnan(residual)
@@ -510,29 +552,126 @@ def test_forest_solver_single_observed_node_needs_no_step():
     assert (iterations == 0).all()
 
 
+def _hub_model(n, p11):
+    """Star of n nodes, hub 0, every edge (hub, leaf) with one pair table."""
+    return assemble(GraphTopology(n, tuple((0, i) for i in range(1, n))),
+                    [PairwiseMarginal(0.5, 0.5, p11)] * (n - 1), 1.0)
+
+
+def _star_beliefs_in_log_space(model, theta):
+    """Beliefs of a star whose leaves carry tilts ``theta`` (n,), with the
+    hub's product over its leaves taken in log space."""
+    n = model.topology.n_nodes
+    leaf = model.phi[1:] * np.stack([np.ones(n - 1), np.exp(theta[1:])], axis=-1)
+    to_hub = np.einsum("eab,eb->ea", model.psi, leaf)  # edges are (hub, leaf)
+    log_hub = np.log(model.phi[0]) + np.log(to_hub).sum(axis=0)
+    hub = np.exp(log_hub - log_hub.max())
+    hub /= hub.sum()
+    pair = hub[None, :, None] * model.psi * leaf[:, None, :] / to_hub[:, :, None]
+    return np.vstack([hub, pair.sum(axis=1)])
+
+
 @pytest.mark.filterwarnings("error")
 def test_forest_solver_on_a_hub_whose_message_product_underflows():
     # 1100 leaves: the product of their sum-normalized messages (near 1/2)
     # underflows; the solver's answer is checked in log space from the
     # tilts it returns
     n = 1101
-    model = assemble(GraphTopology(n, tuple((0, i) for i in range(1, n))),
-                     [PairwiseMarginal(0.5, 0.5, 0.26)] * (n - 1), 1.0)
+    model = _hub_model(n, 0.26)
     observed = np.zeros((1, n), dtype=bool)
     observed[0, 1::2] = True
     b1 = np.where(np.arange(n) % 4 == 1, 0.6, 0.45)[None]
     beliefs, theta, converged, _, _ = ForestSolver(model).solve(
         observed, np.stack([1.0 - b1, b1], axis=-1))
     assert converged[0]
-    # leaf potentials with their tilts; the hub's belief in log space
-    leaf = model.phi[1:] * np.stack([np.ones(n - 1), np.exp(theta[0, 1:])], axis=-1)
-    to_hub = np.einsum("eab,eb->ea", model.psi, leaf)  # edges are (hub, leaf)
-    log_hub = np.log(model.phi[0]) + np.log(to_hub).sum(axis=0)
-    hub = np.exp(log_hub - log_hub.max())
-    hub /= hub.sum()
-    np.testing.assert_allclose(beliefs[0, 0], hub, rtol=0, atol=1e-12)
-    pair = hub[None, :, None] * model.psi * leaf[:, None, :] / to_hub[:, :, None]
-    np.testing.assert_allclose(beliefs[0, 1:], pair.sum(axis=1), rtol=0, atol=1e-12)
+    oracle = _star_beliefs_in_log_space(model, theta[0])
+    np.testing.assert_allclose(beliefs[0, 0], oracle[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(beliefs[0, 1:], oracle[1:], rtol=0, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_run_on_a_hub_whose_message_product_underflows():
+    # the star on which sweeps report a NaN residual: Engine.run solves it
+    # on the forest path, with finite messages and beliefs
+    n = 1101
+    model = _hub_model(n, 0.3)
+    state, report = Engine(model).run({5: np.array([0.2, 0.8])})
+    assert report.converged and report.method == "newton"
+    for a in (state.messages, state.node_beliefs, state.edge_beliefs):
+        assert np.isfinite(a).all()
+    # a lone tilted leaf with a flat prior matches its target at
+    # theta = logit(0.8)
+    theta = np.zeros(n)
+    theta[5] = np.log(4.0)
+    np.testing.assert_allclose(state.node_beliefs,
+                               _star_beliefs_in_log_space(model, theta),
+                               rtol=0, atol=1e-9)
+
+
+def _forest_queries(rng, count):
+    """Random forests above the list size with several components, alpha
+    in (0, 1], and evidence with some hard 0/1 targets: (engine, observed,
+    bstar, constraints) per query."""
+    for _ in range(count):
+        n = int(rng.integers(60, 91))
+        engine = Engine(_random_forest_model(rng, n, alpha=1.0 - rng.random()))
+        assert engine.n_slots > _LIST_MAX_SLOTS
+        assert engine.model.topology.n_edges < n - 1  # several components
+        observed, bstar = _random_evidence(rng, 1, n)
+        yield engine, observed, bstar, _constraints(observed[0], bstar[0])
+
+
+def test_run_on_forests_matches_converged_sweeps():
+    rng = np.random.default_rng(22)
+    hard = 0
+    for engine, observed, bstar, constraints in _forest_queries(rng, 12):
+        hard += int(np.isin(bstar[observed][:, 1], (0.0, 1.0)).sum())
+        state, report = engine.run(constraints)
+        assert report.converged and report.method == "newton"
+        init = np.full((1, engine.n_slots, 2), 0.5)
+        m, converged, _, _ = engine.sweep(init, observed, bstar,
+                                          Schedule(tol=1e-12, max_sweeps=20_000))
+        assert converged[0]
+        np.testing.assert_allclose(state.node_beliefs,
+                                   engine.node_beliefs(m, observed, bstar)[0],
+                                   rtol=0, atol=1e-8)
+        np.testing.assert_allclose(state.edge_beliefs,
+                                   engine.edge_beliefs(m, observed, bstar)[0],
+                                   rtol=0, atol=1e-8)
+    assert hard > 0
+
+
+def test_run_on_forests_returns_the_fixed_point():
+    # pair beliefs marginalise to the node beliefs, and the messages are
+    # the mirror fixed point: a sweep from them stops at its first sweep
+    rng = np.random.default_rng(23)
+    for engine, observed, bstar, constraints in _forest_queries(rng, 12):
+        state, report = engine.run(constraints)
+        assert report.converged
+        edges = np.asarray(engine.model.topology.edges)
+        np.testing.assert_allclose(state.edge_beliefs.sum(axis=2),
+                                   state.node_beliefs[edges[:, 0]], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(state.edge_beliefs.sum(axis=1),
+                                   state.node_beliefs[edges[:, 1]], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(state.messages.sum(axis=2), 1.0, rtol=0, atol=1e-12)
+        _, converged, sweeps, _ = engine.sweep(
+            state.messages.reshape(1, -1, 2), observed, bstar, Schedule())
+        assert converged[0] and sweeps[0] == 1
+
+
+def test_run_on_forests_validates_its_inputs():
+    rng = np.random.default_rng(24)
+    engine, _, _, constraints = next(_forest_queries(rng, 1))
+    assert constraints  # the run takes the forest path
+    n, n_slots = engine.model.topology.n_nodes, engine.n_slots
+    bad = np.full((n_slots, 2), 0.5)
+    bad[3] = [-0.5, 1.0]
+    for init in (bad, np.full((n_slots + 1, 2), 0.5)):
+        with pytest.raises(ValueError):
+            engine.run(constraints, init_messages=init)
+    for node in (-1, n):
+        with pytest.raises(ValueError, match=f"node id {node} out of range"):
+            engine.run({**constraints, node: np.array([0.5, 0.5])})
 
 
 def test_forest_solver_rejects_cycles():
