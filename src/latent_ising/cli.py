@@ -35,21 +35,12 @@ def _parse_marginal(text: str):
 
     kind, _, args = text.partition(":")
     if kind != "beta":
-        raise SystemExit(f"unsupported marginal: {text!r} (expected beta:a,b)")
+        raise ValueError(f"unsupported marginal: {text!r} (expected beta:a,b)")
     try:
         a, b = (float(v) for v in args.split(","))
     except ValueError:
-        raise SystemExit(f"malformed marginal: {text!r} (expected beta:a,b)")
+        raise ValueError(f"malformed marginal: {text!r} (expected beta:a,b)")
     return BetaMarginal(a, b)
-
-
-def _load(load, path, command: str):
-    """``load(path)``, with an unreadable or malformed file reported as a
-    one-line ``SystemExit`` naming the command."""
-    try:
-        return load(path)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"{command}: {exc}")
 
 
 def _cmd_gen_model(args):
@@ -87,7 +78,7 @@ def _cmd_gen_model(args):
         }
         always = ring
     else:
-        raise SystemExit(f"unknown topology: {args.topology!r}")
+        raise ValueError(f"unknown topology: {args.topology!r}")
 
     model = generate_copula(
         topology,
@@ -104,7 +95,7 @@ def _cmd_gen_model(args):
 def _cmd_sample(args):
     from .copula_lab import sample
 
-    model = _load(load_copula, args.model, "sample")
+    model = load_copula(args.model)
     data = sample(model, args.n, seed=args.seed)
     save_dataset_csv(data, args.out)
     print(f"wrote {args.n} outcomes -> {args.out}")
@@ -113,8 +104,10 @@ def _cmd_sample(args):
 def _cmd_fit(args):
     from .pairwise_em import PairSamples, em_fit
 
-    pairs = _load(load_pairs_csv, args.pairs, "fit")
-    n_nodes = 1 + max(max(i, j) for i, j in pairs)
+    pairs = load_pairs_csv(args.pairs)
+    edges = sorted(pairs)
+    n_nodes = 1 + max(max(edge) for edge in edges)
+    topology = GraphTopology(n_nodes, tuple(edges))
     node_samples = [[] for _ in range(n_nodes)]
     for (i, j), (xi, xj) in pairs.items():
         node_samples[i].append(xi)
@@ -122,15 +115,13 @@ def _cmd_fit(args):
     encoders = []
     for i, chunks in enumerate(node_samples):
         if not chunks:
-            raise SystemExit(f"node {i} has no observations")
+            raise ValueError(f"node {i} has no observations")
         encoders.append(build_encoder(args.encoder, np.concatenate(chunks)))
-    edges = sorted(pairs)
     marginals = [
         em_fit(PairSamples(*pairs[edge]), encoders[edge[0]], encoders[edge[1]],
                max_iter=args.max_iter, tol=args.tol)
         for edge in edges
     ]
-    topology = GraphTopology(n_nodes, tuple(edges))
     model = assemble(topology, marginals, args.alpha, encoders=encoders)
     save_models(model, args.out)
     print(f"fitted {len(edges)} edges ({args.encoder} encoding) -> {args.out}")
@@ -139,7 +130,7 @@ def _cmd_fit(args):
 def _cmd_fit_lab(args):
     from .harness import fit_from_copula
 
-    truth = _load(load_copula, args.truth, "fit-lab")
+    truth = load_copula(args.truth)
     model, data = fit_from_copula(
         truth,
         encoder_kind=args.encoder,
@@ -158,9 +149,9 @@ def _cmd_fit_lab(args):
 def _cmd_calibrate_alpha(args):
     from .alpha_calibration import AlphaSearchConfig, calibrate
 
-    models = _load(load_models, args.model, "calibrate-alpha")
+    models = load_models(args.model)
     if len(models) != 1:
-        raise SystemExit("calibrate-alpha expects a single-model file")
+        raise ValueError("expects a single-model file")
     config = AlphaSearchConfig(precision=args.precision, tau=args.tau)
     alpha = calibrate(models[0], config)
     save_models(models[0].with_alpha(alpha), args.model)
@@ -168,16 +159,12 @@ def _cmd_calibrate_alpha(args):
 
 
 def _cmd_predict(args):
-    models = _load(load_models, args.model, "predict")
+    models = load_models(args.model)
     if len(models) != 1:
-        raise SystemExit("predict expects a single-model file")
+        raise ValueError("expects a single-model file")
     model = models[0]
-    try:
-        observed = load_observations_csv(args.obs)
-        constraints = impose_observations(model, observed)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"predict: {exc}")
-    state, report = mbp_run(model, constraints)
+    observed = load_observations_csv(args.obs)
+    state, report = mbp_run(model, impose_observations(model, observed))
     predictions = predict(model, state, decoder=args.decoder, observed=observed)
 
     out = open(args.out, "w", newline="") if args.out else sys.stdout
@@ -196,14 +183,12 @@ def _cmd_predict(args):
 def _cmd_decimate(args):
     from .harness import decimate
 
-    truth = _load(load_copula, args.truth, "decimate")
+    truth = load_copula(args.truth)
     fitted = []
     for path in args.fitted.split(","):
-        fitted.extend(_load(load_models, path, "decimate"))
+        fitted.extend(load_models(path))
     predictors = args.predictors.split(",")
-    history = (
-        _load(load_dataset_csv, args.history, "decimate") if args.history else None
-    )
+    history = load_dataset_csv(args.history) if args.history else None
     result = decimate(
         truth,
         fitted,
@@ -239,7 +224,7 @@ def _read_results(path) -> list[tuple[float, str, str]]:
 
 
 def _cmd_plotdata(args):
-    rows = _load(_read_results, args.results, "plotdata")
+    rows = _read_results(args.results)
     predictors = sorted({p for _, p, _ in rows})
     bins = sorted({b for b, _, _ in rows})
     grid = {(b, p): value for b, p, value in rows}
@@ -342,7 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"{args.command}: {exc}")
     return 0
 
 

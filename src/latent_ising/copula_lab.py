@@ -41,10 +41,17 @@ DEFAULT_CORR_RANGE = ((-1.0, -0.2), (0.2, 1.0))
 
 @dataclass(frozen=True)
 class BetaMarginal:
-    """beta(a, b) marginal on [0, 1]."""
+    """beta(a, b) marginal on [0, 1]; ``a`` and ``b`` must be finite and
+    positive."""
 
     a: float
     b: float
+
+    def __post_init__(self):
+        if not all(np.isfinite(v) and v > 0 for v in (self.a, self.b)):
+            raise ValueError(
+                f"beta marginal needs finite a, b > 0, got a={self.a}, b={self.b}"
+            )
 
     def quantile(self, q):
         return betaincinv(self.a, self.b, q)
@@ -301,6 +308,8 @@ def knn_predictor(history, observed: dict, k: int = 50) -> dict:
     n_rows, n_nodes = values.shape
     if k > n_rows:
         raise ValueError("k exceeds history size")
+    if k < 1:
+        raise ValueError("k must be at least 1")
     obs_idx = np.array(sorted(observed), dtype=int)
     if obs_idx.size:
         query = np.array([observed[i] for i in obs_idx])

@@ -3,8 +3,10 @@
 A decimation run draws an outcome of the truth model, reveals its
 coordinates one at a time in seeded random order (permanently instrumented
 nodes first), and after every reveal asks each predictor for the still
-hidden coordinates.  Mean absolute error and bias against the exact
-conditional median are aggregated into reveal-fraction bins.  On a
+hidden coordinates.  The errors and solver work of every replicate at
+every step are kept in arrays, and one table row per reveal-fraction bin
+and predictor is read from them: mean absolute error and bias against the
+exact conditional median.  On a
 forest-shaped model the latent beliefs are the exact mirror fixed point
 (``ForestSolver``); on a loopy one they come from message passing, and
 runs that did not converge are kept (beliefs at the last sweep).  Either
@@ -14,7 +16,7 @@ work per run (Newton steps or sweeps) and the largest final residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,55 +154,24 @@ def fit_from_copula(
     return model, data
 
 
-@dataclass
-class _Accumulator:
-    abs_sum: float = 0.0
-    signed_sum: float = 0.0
-    n_points: int = 0
-    runs: int = 0
-    nonconverged: int = 0
-    iterations: int = 0
-    max_residual: float = 0.0
-
-
 @dataclass(frozen=True)
 class DecimationResult:
-    """Binned decimation metrics; ``table()`` flattens to row dicts."""
+    """The table of one ``decimate`` run: one row dict per (bin, predictor),
+    in bin order and then in predictor-name order."""
 
-    bin_width: float
     replicates: int
     seed: object
-    cells: dict = field(default_factory=dict)
+    rows: list[dict]
 
     def table(self) -> list[dict]:
-        rows = []
-        for (bin_idx, predictor), acc in sorted(self.cells.items()):
-            if acc.n_points == 0:
-                continue
-            rows.append(
-                {
-                    "bin_low": round(bin_idx * self.bin_width, 10),
-                    "bin_high": round((bin_idx + 1) * self.bin_width, 10),
-                    "predictor": predictor,
-                    "mean_l1": acc.abs_sum / acc.n_points,
-                    "bias": acc.signed_sum / acc.n_points,
-                    "n_points": acc.n_points,
-                    "nonconverged_ratio": (
-                        acc.nonconverged / acc.runs if acc.runs else 0.0
-                    ),
-                    "mean_iterations": (
-                        acc.iterations / acc.runs if acc.runs else 0.0
-                    ),
-                    "max_residual": acc.max_residual,
-                }
-            )
-        return rows
+        """Copies of the rows."""
+        return [dict(row) for row in self.rows]
 
     def curve(self, predictor: str) -> dict[float, float]:
         """bin_low -> mean_l1 for one predictor."""
         return {
             row["bin_low"]: row["mean_l1"]
-            for row in self.table()
+            for row in self.rows
             if row["predictor"] == predictor
         }
 
@@ -246,7 +217,10 @@ def decimate(
     for model in fitted:
         if model.encoders is None:
             raise ValueError("fitted model carries no encoders")
-        by_encoder[model.encoders[0].kind] = model
+        kind = model.encoders[0].kind
+        if kind in by_encoder:
+            raise ValueError(f"two fitted models with {kind!r} encoders")
+        by_encoder[kind] = model
 
     predictors = list(predictors)
     if len(set(predictors)) != len(predictors):
@@ -387,23 +361,24 @@ def decimate(
 
     n_bins = int(round(1.0 / BIN_WIDTH))
     bins = [min(int((step / n) / BIN_WIDTH), n_bins - 1) for step in steps]
-    cells: dict = {}
+    table = []
     for bin_idx in sorted(set(bins)):
         cols = [col for col, b in enumerate(bins) if b == bin_idx]
-        for name, _, _ in plans:
-            cells[(bin_idx, name)] = _Accumulator(
-                abs_sum=_running_sum(abs_sums[name][:, cols]),
-                signed_sum=_running_sum(signed_sums[name][:, cols]),
-                n_points=replicates * sum(n - steps[col] for col in cols),
-                runs=replicates * len(cols),
-                nonconverged=int(nonconv[name][:, cols].sum()),
-                iterations=int(work[name][:, cols].sum()),
-                max_residual=float(resid[name][:, cols].max()),
-            )
-
-    return DecimationResult(
-        bin_width=BIN_WIDTH, replicates=replicates, seed=seed, cells=cells
-    )
+        n_points = replicates * sum(n - steps[col] for col in cols)
+        n_runs = replicates * len(cols)
+        for name in sorted(predictors):
+            table.append({
+                "bin_low": round(bin_idx * BIN_WIDTH, 10),
+                "bin_high": round((bin_idx + 1) * BIN_WIDTH, 10),
+                "predictor": name,
+                "mean_l1": _running_sum(abs_sums[name][:, cols]) / n_points,
+                "bias": _running_sum(signed_sums[name][:, cols]) / n_points,
+                "n_points": n_points,
+                "nonconverged_ratio": int(nonconv[name][:, cols].sum()) / n_runs,
+                "mean_iterations": int(work[name][:, cols].sum()) / n_runs,
+                "max_residual": float(resid[name][:, cols].max()),
+            })
+    return DecimationResult(replicates=replicates, seed=seed, rows=table)
 
 
 def _hidden_sums(values: np.ndarray, hidden: np.ndarray) -> np.ndarray:

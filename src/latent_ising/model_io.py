@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import zipfile
 from typing import TYPE_CHECKING
 
@@ -84,14 +85,15 @@ def model_from_dict(payload: dict) -> LatentIsingModel:
     """The fitted model of a ``model_to_dict`` payload; ``cdf_samples`` may
     be any 1-d array of floats.
 
-    A missing field, an edge endpoint that is not a node id or an invalid
-    value raises ``ValueError`` naming the node or edge it belongs to.
+    A missing or wrongly typed field, an edge endpoint that is not a node id
+    or an invalid value raises ``ValueError`` naming the node or edge it
+    belongs to.
     """
     try:
         nodes = sorted(payload["nodes"], key=lambda d: d["id"])
-        edge_specs = payload["edges"]
+        edge_specs = list(payload["edges"])
         alpha = float(payload["alpha"])
-    except KeyError as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(_reason(exc)) from None
     n = len(nodes)
     if [d["id"] for d in nodes] != list(range(n)):
@@ -103,7 +105,7 @@ def model_from_dict(payload: dict) -> LatentIsingModel:
                 raise ValueError(f"unknown encoder kind {d['encoder']!r}")
             cdf = EmpiricalCdf(d["cdf_samples"])
             encoders.append(ENCODER_KINDS[d["encoder"]](cdf, float(d["p1"])))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"node {d['id']}: {_reason(exc)}") from None
     edges = []
     marginals = []
@@ -117,7 +119,7 @@ def model_from_dict(payload: dict) -> LatentIsingModel:
                 n_obs=int(d.get("n_obs", 0)),
             )
             marginal.validate()
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"edge {e}: {_reason(exc)}") from None
         edges.append((i, j))
         marginals.append(marginal)
@@ -126,8 +128,13 @@ def model_from_dict(payload: dict) -> LatentIsingModel:
 
 
 def _reason(exc: Exception) -> str:
-    """The message of a ``ValueError``, or the field a ``KeyError`` missed."""
-    return f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+    """The message of a ``ValueError``, the field a ``KeyError`` missed, or
+    what a wrongly typed field made fail (``TypeError``)."""
+    if isinstance(exc, KeyError):
+        return f"missing field {exc}"
+    if isinstance(exc, TypeError):
+        return f"wrongly typed field ({exc})"
+    return str(exc)
 
 
 def save_models(models, path):
@@ -159,11 +166,14 @@ def load_models(path) -> list[LatentIsingModel]:
             return _load_container(fh)
         fh.seek(0)
         payload = json.loads(fh.read())
+    if not isinstance(payload, dict):
+        raise ValueError("model file holds no JSON object")
     if "schema" in payload:
         _check_schema(payload["schema"])
-    if "models" in payload:
-        return [model_from_dict(d) for d in payload["models"]]
-    return [model_from_dict(payload)]
+    models = payload["models"] if "models" in payload else [payload]
+    if not isinstance(models, list):
+        raise ValueError("wrongly typed field 'models'")
+    return [model_from_dict(d) for d in models]
 
 
 def _check_schema(schema):
@@ -175,6 +185,8 @@ def _load_container(fh) -> list[LatentIsingModel]:
     try:
         with np.load(fh, allow_pickle=False) as npz:
             header = json.loads(_entry(npz, "header").tobytes())
+            if not isinstance(header, dict):
+                raise ValueError("model file header holds no JSON object")
             _check_schema(header.get("schema"))
             return [
                 _with_samples(payload, _entry(npz, f"samples_{k}"),
@@ -183,7 +195,7 @@ def _load_container(fh) -> list[LatentIsingModel]:
             ]
     except zipfile.BadZipFile as exc:
         raise ValueError(f"corrupt model file: {exc}") from None
-    except KeyError as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(_reason(exc)) from None
 
 
@@ -233,8 +245,8 @@ def copula_to_dict(model: CopulaModel) -> dict:
 
 
 def copula_from_dict(payload: dict) -> CopulaModel:
-    """The truth model of a ``copula_to_dict`` payload; a missing field or
-    an invalid value raises ``ValueError``."""
+    """The truth model of a ``copula_to_dict`` payload; a missing or wrongly
+    typed field or an invalid value raises ``ValueError``."""
     from .copula_lab import _copula_from_precision
 
     try:
@@ -247,7 +259,7 @@ def copula_from_dict(payload: dict) -> CopulaModel:
             [_marginal_from_spec(d) for d in payload["marginals"]],
             payload.get("always_observed", ()),
         )
-    except KeyError as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(_reason(exc)) from None
 
 
@@ -272,8 +284,8 @@ def save_dataset_csv(dataset: Dataset, path):
 def load_dataset_csv(path) -> Dataset:
     """A header row naming the nodes, then one row of values per outcome.
 
-    A malformed cell or a row of the wrong width raises ``ValueError``
-    naming its line.
+    A malformed or non-finite cell or a row of the wrong width raises
+    ``ValueError`` naming its line.
     """
     from .copula_lab import Dataset
 
@@ -323,9 +335,12 @@ def _csv_rows(path, what: str, parse_id):
 
 def _values(row, what: str, line: int) -> list:
     try:
-        return [float(v) for v in row]
+        values = [float(v) for v in row]
     except ValueError:
         raise ValueError(f"{what} row {line}: malformed value in {row!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{what} row {line}: non-finite value in {row!r}")
+    return values
 
 
 def load_observations_csv(path) -> dict:

@@ -200,8 +200,7 @@ class Engine:
         pinned = np.zeros(n_nodes, dtype=bool)
         bstar = np.zeros((n_nodes, 2))
         for i, b in constraints.items():
-            if not 0 <= i < n_nodes:
-                raise ValueError(f"node id {i} out of range 0..{n_nodes - 1}")
+            i = _node_index(i, n_nodes)
             vec = np.asarray(b, dtype=float)
             total = vec.sum()
             if vec.shape != (2,) or np.any(vec < 0.0) or total <= 0.0:
@@ -841,11 +840,20 @@ def impose_observations(model: LatentIsingModel, observed: dict) -> dict:
     n_nodes = model.topology.n_nodes
     out = {}
     for i, x in observed.items():
-        if not 0 <= i < n_nodes:
-            raise ValueError(f"node id {i} out of range 0..{n_nodes - 1}")
+        i = _node_index(i, n_nodes)
         lam = model.encoders[i].encode(x)
-        out[int(i)] = np.array([1.0 - lam, lam])
+        out[i] = np.array([1.0 - lam, lam])
     return out
+
+
+def _node_index(i, n_nodes: int) -> int:
+    """Node id ``i`` as an int; an id that is not an integer in
+    0..n_nodes-1 raises ``ValueError``."""
+    if not isinstance(i, (int, np.integer)):
+        raise ValueError(f"node id {i!r} is not an integer")
+    if not 0 <= i < n_nodes:
+        raise ValueError(f"node id {i} out of range 0..{n_nodes - 1}")
+    return int(i)
 
 
 def predict(model: LatentIsingModel, beliefs: BeliefState,

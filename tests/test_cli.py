@@ -10,7 +10,7 @@ import pytest
 
 import latent_ising
 from latent_ising.cli import main
-from latent_ising.model_io import load_models, model_to_dict
+from latent_ising.model_io import load_models, model_to_dict, save_models
 
 
 def run(*args):
@@ -232,6 +232,150 @@ def test_malformed_truth_file_is_one_line_error(pair_files, tmp_path, corrupt,
         main(["decimate", "--truth", str(broken), "--fitted", str(fitted),
               "--predictors", "exact", "--out", str(tmp_path / "dec.csv")])
     assert str(exc.value) == f"decimate: {message}"
+
+
+@pytest.fixture(scope="module")
+def bad_inputs(pair_files, tmp_path_factory):
+    """Paths of the inputs the error-boundary cases run on: the pair
+    files, a second cdf model, history files, pair files that make no
+    graph, and model and truth files with wrongly typed fields."""
+    tmp = tmp_path_factory.mktemp("bad")
+    truth, fitted, obs = pair_files
+    run("fit-lab", "--truth", truth, "--n-train", "501", "--seed", "6",
+        "--out", tmp / "fitted2.npz", "--train-out", tmp / "history.csv")
+    model = model_to_dict(load_models(fitted)[0])
+    save_models([load_models(fitted)[0]] * 2, tmp / "two.npz")
+    (tmp / "nan_history.csv").write_text("0,1\n0.1,0.2\nnan,0.3\n")
+    (tmp / "both_ways.csv").write_text("edge,x_i,x_j\n0-1,0.1,0.2\n1-0,0.3,0.4\n")
+    (tmp / "self_loop.csv").write_text("edge,x_i,x_j\n1-1,0.1,0.2\n")
+    (tmp / "gap.csv").write_text(
+        "edge,x_i,x_j\n0-2,0.1,0.2\n0-2,0.7,0.6\n0-2,0.4,0.9\n")
+    truth_payload = json.loads(truth.read_text())
+    payloads = {
+        "nodes_int.json": {**model, "nodes": 5},
+        "edges_int.json": {**model, "edges": 3},
+        "p1_null.json": {**model, "nodes": [{**model["nodes"][0], "p1": None},
+                                            model["nodes"][1]]},
+        "j_list.json": {**model, "edges": [{**model["edges"][0], "j": [1]}]},
+        "list_model.json": [1, 2],
+        "models_int.json": {"models": 5},
+        "t_edges_int.json": {**truth_payload, "edges": 5},
+        "t_marginal_int.json": {**truth_payload,
+                                "marginals": [7, truth_payload["marginals"][1]]},
+        "t_empty_list.json": [],
+        "t_negative_beta.json": {**truth_payload,
+                                 "marginals": [{"kind": "beta", "a": -1, "b": 2}] * 2},
+    }
+    for name, payload in payloads.items():
+        (tmp / name).write_text(json.dumps(payload))
+    paths = {path.name: path for path in tmp.iterdir()}
+    return {**paths, "truth": truth, "fitted": fitted, "obs": obs, "tmp": tmp}
+
+
+def _decimate(*extra, truth="truth", fitted=("fitted",), replicates="2"):
+    return lambda p: [
+        "decimate", "--truth", p[truth], "--fitted", ",".join(str(p[f]) for f in fitted),
+        "--replicates", replicates, "--out", p["tmp"] / "dec.csv",
+        *(p.get(a, a) for a in extra),
+    ]
+
+
+def _predict(model):
+    return lambda p: ["predict", "--model", p[model], "--obs", p["obs"]]
+
+
+def _fit(pairs):
+    return lambda p: ["fit", "--pairs", p[pairs], "--out", p["tmp"] / "fit.npz"]
+
+
+def _gen_model(*args):
+    return lambda p: ["gen-model", *args, "--out", p["tmp"] / "gen.json"]
+
+
+# every path to a one-line error, and the start of its line
+ERROR_BOUNDARY = [
+    (_decimate("--predictors", "foo"), "decimate: unknown predictor: 'foo'"),
+    (_decimate("--predictors", "exact,exact"), "decimate: duplicate predictor"),
+    (_decimate("--predictors", "exact", replicates="0"),
+     "decimate: sample size must be positive"),
+    (_decimate("--predictors", "knn", "--history", "history.csv", "--knn-k", "100000"),
+     "decimate: k exceeds history size"),
+    (_decimate("--predictors", "knn", "--history", "history.csv", "--knn-k", "0"),
+     "decimate: k must be at least 1"),
+    (_decimate("--predictors", "exact", fitted=("fitted", "fitted2.npz")),
+     "decimate: two fitted models with 'cdf' encoders"),
+    (_decimate("--predictors", "knn", "--history", "nan_history.csv"),
+     "decimate: dataset row 3: non-finite value in ['nan', '0.3']"),
+    (_decimate("--predictors", "exact", truth="t_edges_int.json"),
+     "decimate: wrongly typed field ("),
+    (_decimate("--predictors", "exact", truth="t_marginal_int.json"),
+     "decimate: wrongly typed field ("),
+    (_decimate("--predictors", "exact", truth="t_empty_list.json"),
+     "decimate: wrongly typed field ("),
+    (_decimate("--predictors", "exact", truth="t_negative_beta.json"),
+     "decimate: beta marginal needs finite a, b > 0, got a=-1.0, b=2.0"),
+    (_gen_model("--topology", "tree:x"), "gen-model: invalid literal for int()"),
+    (_gen_model("--topology", "tree:1"),
+     "gen-model: interior connectivity must be at least 2"),
+    (_gen_model("--topology", "tree:3", "--nodes", "1"),
+     "gen-model: tree needs at least two nodes"),
+    (_gen_model("--topology", "pair", "--marginal", "beta:-1,2"),
+     "gen-model: beta marginal needs finite a, b > 0, got a=-1.0, b=2.0"),
+    (_gen_model("--topology", "pair", "--marginal", "beta:0,0"),
+     "gen-model: beta marginal needs finite a, b > 0, got a=0.0, b=0.0"),
+    (_gen_model("--topology", "pair", "--marginal", "gamma:1,2"),
+     "gen-model: unsupported marginal: 'gamma:1,2' (expected beta:a,b)"),
+    (_gen_model("--topology", "pair", "--marginal", "beta:1"),
+     "gen-model: malformed marginal: 'beta:1' (expected beta:a,b)"),
+    (lambda p: ["sample", "--model", p["truth"], "--n", "0",
+                "--out", p["tmp"] / "s.csv"], "sample: sample size must be positive"),
+    (lambda p: ["fit-lab", "--truth", p["truth"], "--n-train", "101", "--alpha", "2",
+                "--out", p["tmp"] / "f.npz"], "fit-lab: alpha must lie in [0, 1]"),
+    (lambda p: ["calibrate-alpha", "--model", p["fitted"], "--tau", "2"],
+     "calibrate-alpha: tau must lie in (0, 1)"),
+    (lambda p: ["calibrate-alpha", "--model", p["fitted"], "--precision", "0"],
+     "calibrate-alpha: precision must be positive"),
+    (lambda p: ["calibrate-alpha", "--model", p["two.npz"]],
+     "calibrate-alpha: expects a single-model file"),
+    (_fit("both_ways.csv"), "fit: duplicate edge (1,0)"),
+    (_fit("self_loop.csv"), "fit: self-loop at node 1"),
+    (_fit("gap.csv"), "fit: node 1 has no observations"),
+    (_predict("two.npz"), "predict: expects a single-model file"),
+    (_predict("nodes_int.json"), "predict: wrongly typed field ("),
+    (_predict("edges_int.json"), "predict: wrongly typed field ("),
+    (_predict("list_model.json"), "predict: model file holds no JSON object"),
+    (_predict("models_int.json"), "predict: wrongly typed field 'models'"),
+    (_predict("p1_null.json"), "predict: node 0: wrongly typed field ("),
+    (_predict("j_list.json"), "predict: edge 0: wrongly typed field ("),
+    (lambda p: ["predict", "--model", p["fitted"], "--obs", p["tmp"] / "none.csv"],
+     "predict: [Errno 2] No such file or directory"),
+]
+
+
+@pytest.mark.parametrize("argv, start", ERROR_BOUNDARY)
+def test_bad_input_is_a_one_line_error(bad_inputs, capsys, argv, start):
+    """``main`` turns every ``ValueError`` or ``OSError`` of a command into
+    ``SystemExit`` with a one-line message, which the interpreter prints to
+    stderr with exit status 1 (checked in a process below)."""
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in argv(bad_inputs)])
+    message = exc.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert message.startswith(start)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_bad_input_exits_with_status_one_and_no_traceback():
+    src = os.path.dirname(os.path.dirname(latent_ising.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "latent_ising.cli", "gen-model", "--topology",
+         "tree:1", "--out", os.devnull],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "gen-model: interior connectivity must be at least 2\n"
 
 
 def test_plotdata_names_missing_columns(tmp_path):

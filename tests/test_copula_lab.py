@@ -33,6 +33,13 @@ def test_beta_marginal_matches_scipy_stats(a, b):
     assert marginal.median() == beta_dist.ppf(0.5, a, b)
 
 
+@pytest.mark.parametrize("a,b", [(-1.0, 2.0), (0.0, 0.0), (np.nan, 1.0),
+                                 (1.0, np.inf)])
+def test_beta_marginal_rejects_invalid_shape(a, b):
+    with pytest.raises(ValueError, match="finite a, b > 0"):
+        BetaMarginal(a, b)
+
+
 def test_exact_predictor_gaussian_transforms_match_scipy_stats():
     # with beta(1, 1) marginals the predictor is ndtr / ndtri around a solve
     model = generate_copula(pair_topology(), seed=20, overrides={(0, 1): -0.5})
@@ -197,6 +204,8 @@ def test_knn_exact_row_match():
 def test_knn_k_too_large():
     with pytest.raises(ValueError, match="history"):
         knn_predictor(np.zeros((5, 2)), {0: 0.0}, k=6)
+    with pytest.raises(ValueError, match="at least 1"):
+        knn_predictor(np.zeros((5, 2)), {0: 0.0}, k=0)
 
 
 def test_median_predictor():

@@ -44,6 +44,8 @@ def test_decimation_deterministic(pair_setup):
     a = decimate(truth, fitted_cdf, **kwargs)
     b = decimate(truth, fitted_cdf, **kwargs)
     assert a.table() == b.table()
+    a.table()[0]["mean_l1"] = -1.0  # the table is a copy
+    assert a.table() == b.table()
 
 
 def test_pair_decimation_bins_and_metrics(pair_setup):
@@ -110,6 +112,13 @@ def test_knn_requires_history(pair_setup):
     truth, fitted_cdf, _, _ = pair_setup
     with pytest.raises(ValueError, match="history"):
         decimate(truth, fitted_cdf, ["knn"], replicates=2, seed=0)
+
+
+def test_two_models_of_one_encoder_kind_rejected(pair_setup):
+    truth, fitted_cdf, fitted_step, _ = pair_setup
+    with pytest.raises(ValueError, match="two fitted models with 'cdf' encoders"):
+        decimate(truth, [fitted_cdf, fitted_step, fitted_cdf], ["exact"],
+                 replicates=2, seed=0)
 
 
 def test_missing_coding_model_rejected(pair_setup):

@@ -170,6 +170,10 @@ def _missing_block(path):
         np.savez(fh, **arrays)
 
 
+def _list_header(path):
+    _rewrite(path, header=np.frombuffer(b"[1, 2]", dtype=np.uint8))
+
+
 def _truncated(path):
     path.write_bytes(path.read_bytes()[:100])
 
@@ -181,6 +185,7 @@ MODEL_FILE_ERRORS = [
     (_bad_offsets, "model 0: sample offsets do not fit its block"),
     (_missing_block, "model file has no 'samples_0' entry"),
     (_truncated, "corrupt model file: File is not a zip file"),
+    (_list_header, "model file header holds no JSON object"),
 ]
 
 
@@ -253,6 +258,8 @@ def test_dataset_csv_roundtrip(small_fit, tmp_path):
 
 @pytest.mark.parametrize("text, message", [
     ("0,1\n0.1,0.2\n0.3,abc\n", "dataset row 3: malformed value"),
+    ("0,1\n0.1,0.2\n0.3,inf\n", "dataset row 3: non-finite value"),
+    ("0,1\nnan,0.2\n", "dataset row 2: non-finite value"),
     ("0,1\n0.1,0.2\n\n0.3\n", "dataset row 4: 1 values, expected 2"),
     ("0,1\n0.1,0.2,0.5\n", "dataset row 2: 3 values, expected 2"),
     ("0,1\n", "dataset CSV has no outcomes"),
@@ -284,6 +291,7 @@ def test_observations_csv(tmp_path):
     ("node,value\n0,0.2\nnode,value\n", "row 3: malformed id 'node'"),
     ("node,value\n0,0.2\n\nx3,0.5\n", "row 4: malformed id 'x3'"),
     ("node,value\n0,0.2\n1,high\n", "row 3: malformed value"),
+    ("node,value\n0,0.2\n1,nan\n", "row 3: non-finite value"),
 ])
 def test_observations_csv_rejects_malformed_rows(tmp_path, text, message):
     path = tmp_path / "obs.csv"
@@ -314,6 +322,7 @@ def test_pairs_csv(tmp_path):
     ("edge,x_i,x_j\n0-1,0.1,0.2\n0_1,0.3,0.4\n", "row 3: malformed id '0_1'"),
     ("edge,x_i,x_j\n0-1,0.1,0.2\nedge,x_i,x_j\n", "row 3: malformed id 'edge'"),
     ("0-1,0.1,0.2\n0-1,0.3,?\n", "row 2: malformed value"),
+    ("0-1,0.1,0.2\n0-1,-inf,0.4\n", "row 2: non-finite value"),
 ])
 def test_pairs_csv_rejects_malformed_rows(tmp_path, text, message):
     path = tmp_path / "pairs.csv"

@@ -728,6 +728,12 @@ def test_node_ids_out_of_range_rejected():
             impose_observations(model, {node: 0.5})
         with pytest.raises(ValueError, match=f"node id {node} out of range"):
             mbp_run(model, {node: np.array([0.5, 0.5])})
+    for node in (1.5, 1.0, "1", None):
+        with pytest.raises(ValueError, match=f"node id {node!r} is not an integer"):
+            impose_observations(model, {node: 0.5})
+        with pytest.raises(ValueError, match=f"node id {node!r} is not an integer"):
+            mbp_run(model, {node: np.array([0.5, 0.5])})
+    assert list(impose_observations(model, {np.int64(2): 0.5})) == [2]
 
 
 def test_predict_contextless_and_extremes():
