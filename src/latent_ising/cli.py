@@ -52,6 +52,10 @@ def _cmd_gen_model(args):
         regular_tree_topology,
     )
 
+    if args.rho is not None and not -1.0 < args.rho < 1.0:
+        raise ValueError(
+            f"--rho must lie in the open interval (-1, 1), got {args.rho}"
+        )
     marginal = _parse_marginal(args.marginal)
     overrides = {}
     always = ()
@@ -61,7 +65,13 @@ def _cmd_gen_model(args):
         if args.rho is not None:
             overrides[(0, 1)] = -args.rho
     elif args.topology.startswith("tree:"):
-        connectivity = int(args.topology.split(":", 1)[1])
+        try:
+            connectivity = int(args.topology.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(
+                f"--topology {args.topology!r}: expected tree:<connectivity>, "
+                "an integer"
+            ) from None
         topology = regular_tree_topology(connectivity, size=args.nodes)
         marginals = [marginal] * topology.n_nodes
     elif args.topology == "grid-city":
@@ -183,6 +193,8 @@ def _cmd_predict(args):
 def _cmd_decimate(args):
     from .harness import decimate
 
+    if args.replicates < 1:
+        raise ValueError(f"--replicates must be at least 1, got {args.replicates}")
     truth = load_copula(args.truth)
     fitted = []
     for path in args.fitted.split(","):

@@ -33,6 +33,7 @@ __all__ = [
     "build_encoder",
     "encode_training",
     "build_decoder",
+    "BatchDecoder",
     "marginal_p1",
     "conditional_cdfs",
     "jeffrey_update",
@@ -50,7 +51,7 @@ def _check_finite(x):
 
 def _check_probability(b):
     b = np.asarray(b)
-    if not np.all((b >= 0.0) & (b <= 1.0)):  # NaN fails too
+    if not ((b >= 0.0) & (b <= 1.0)).all():  # NaN fails too
         raise ValueError("invalid probability")
 
 
@@ -126,9 +127,27 @@ def encode_training(kind: str, samples):
         raise ValueError(f"unknown encoder kind: {kind!r}")
     cdf = EmpiricalCdf(samples)
     enc = ENCODER_KINDS[kind](cdf, 0.5)  # placeholder p1
-    codes = np.asarray(enc.encode(np.asarray(samples, dtype=float)), dtype=float)
+    samples = np.asarray(samples, dtype=float)
+    if kind == "cdf":
+        codes = _training_cdf_codes(cdf, samples)
+    else:
+        codes = np.asarray(enc.encode(samples), dtype=float)
     enc.p1 = _mean_code(codes)
     return enc, codes
+
+
+def _training_cdf_codes(cdf: EmpiricalCdf, samples: np.ndarray) -> np.ndarray:
+    """``cdf.evaluate(samples)`` for the samples the cdf was built from,
+    without a search: a sample's count of samples at or below it is the
+    right end of its run of equal values in ``cdf.sorted_samples``, and an
+    argsort puts each count back at its sample."""
+    s = cdf.sorted_samples
+    ends = np.flatnonzero(np.append(s[1:] != s[:-1], True)) + 1
+    codes = np.empty(cdf.n)
+    codes[np.argsort(samples, axis=None)] = (
+        np.repeat(ends, np.diff(ends, prepend=0)) / cdf.n
+    )
+    return codes.reshape(samples.shape)
 
 
 @dataclass(frozen=True)
@@ -293,3 +312,71 @@ def build_decoder(kind: str, encoder):
         cond = conditional_cdfs(encoder)
         return BayesMeanStep(cond.mean0, cond.mean1)
     raise ValueError(f"unknown decoder kind: {kind!r}")
+
+
+class BatchDecoder:
+    """One decoder kind over every node of a model: ``decode`` maps a whole
+    belief array at once, its last axis running over the nodes.
+
+    The result is bit for bit what each node's ``build_decoder`` decoder
+    gives, and an invalid belief (NaN included) raises ``ValueError`` as
+    there.  Every node's sorted ECDF samples sit in one flat float64 block,
+    node p's from ``starts[p]``, as ``model_io`` stores them.  The quantile
+    is ``EmpiricalCdf.quantile``'s, as one gather into that block.  When all
+    nodes hold n samples, which fitted and loaded models do, the one rank
+    table of n samples serves every node; otherwise each node's rank is
+    recomputed as ``i / n_p``, the float that its own table stores.
+    ``bayes-mean-step`` keeps the two conditional means of every node.
+    """
+
+    __slots__ = ("kind", "_level", "_samples", "_starts", "_n", "_below",
+                 "_mean0", "_mean1")
+
+    def __init__(self, kind: str, encoders):
+        if kind not in DECODER_KINDS:
+            raise ValueError(f"unknown decoder kind: {kind!r}")
+        self.kind = kind
+        if kind == "bayes-mean-step":
+            conds = [conditional_cdfs(enc) for enc in encoders]
+            self._mean0 = np.array([c.mean0 for c in conds])
+            self._mean1 = np.array([c.mean1 for c in conds])
+            return
+        # quantile level of each belief; inverse-cdf takes the belief itself
+        self._level = {"bayes-quad": bayes_quad_level,
+                       "bayes-median-step": median_step_level}.get(kind)
+        cdfs = [enc.cdf for enc in encoders]
+        counts = np.array([cdf.n for cdf in cdfs])
+        self._samples = np.concatenate([cdf.sorted_samples for cdf in cdfs])
+        self._starts = np.cumsum(counts) - counts
+        if np.all(counts == cdfs[0].n):
+            self._n = cdfs[0].n
+            self._below = cdfs[0]._below
+        else:
+            self._n = counts
+            self._below = None
+
+    def decode(self, b, nodes=None):
+        """Predictions for beliefs ``b``, whose last axis runs over
+        ``nodes`` (an index array; every node when omitted)."""
+        b = np.asarray(b, dtype=float)
+        if nodes is None:
+            nodes = slice(None)
+        if self.kind == "bayes-mean-step":
+            _check_probability(b)
+            return b * self._mean1[nodes] + (1.0 - b) * self._mean0[nodes]
+        if self._level is not None:
+            _check_probability(b)
+            b = np.asarray(self._level(b))
+        return self._quantile(b, nodes)
+
+    def _quantile(self, q, nodes):
+        _check_probability(q)
+        n = self._n if self._below is not None else self._n[nodes]
+        idx = np.asarray((q * n).astype(np.intp))
+        np.minimum(idx, n - 1, out=idx)
+        if self._below is not None:
+            idx -= self._below[idx] >= q
+        else:
+            idx -= np.where(idx > 0, idx / n, -1.0) >= q
+        idx += self._starts[nodes]
+        return self._samples[idx]

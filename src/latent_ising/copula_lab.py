@@ -117,6 +117,18 @@ class CopulaModel:
     def n_nodes(self) -> int:
         return self.topology.n_nodes
 
+    @cached_property
+    def marginal_groups(self) -> tuple[np.ndarray, tuple]:
+        """(group id of every node, one marginal per group), computed once
+        per model.  Marginals are grouped by value: equal ``BetaMarginal``
+        parameters share a group even when the nodes hold separate objects,
+        and an ``EmpiricalMarginal`` groups with those sharing its CDF
+        object."""
+        ids: dict = {}
+        group_of = np.array([ids.setdefault(m, len(ids)) for m in self.marginals],
+                            dtype=np.intp)
+        return group_of, tuple(ids)
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -230,22 +242,19 @@ def sample(model: CopulaModel, n: int, seed: int | None = None) -> Dataset:
     return Dataset(values=x, seed=seed)
 
 
-def _grouped_apply(marginals, nodes, values, method):
+def _grouped_apply(model: CopulaModel, nodes, values, method):
     """Apply marginal.cdf / marginal.quantile elementwise, where ``nodes``
     names the node whose marginal each entry of ``values`` belongs to, with
-    one vectorized call per distinct marginal (scalar scipy calls dominate
-    otherwise).  Marginals are grouped by value: equal ``BetaMarginal``
-    parameters share a call even when the nodes hold separate objects,
-    and an ``EmpiricalMarginal`` groups with those sharing its CDF object.
-    """
-    nodes = np.asarray(nodes)
-    out = np.empty(nodes.shape)
-    groups: dict = {}
-    for node in np.unique(nodes):
-        groups.setdefault(marginals[node], []).append(node)
-    for marg, members in groups.items():
-        mask = np.isin(nodes, members)
-        out[mask] = getattr(marg, method)(values[mask])
+    one vectorized call per group of equal marginals
+    (``CopulaModel.marginal_groups``; scalar scipy calls dominate
+    otherwise)."""
+    group_of, marginals = model.marginal_groups
+    groups = group_of[nodes]
+    out = np.empty(groups.shape)
+    for g, marg in enumerate(marginals):
+        mask = groups == g
+        if mask.any():
+            out[mask] = getattr(marg, method)(values[mask])
     return out
 
 
@@ -288,13 +297,13 @@ def exact_predictor_batch(model: CopulaModel, obs_idx, obs_vals) -> np.ndarray:
     hidden = np.ones(out.shape, dtype=bool)
     hidden[rows, obs_idx] = False
     free = np.nonzero(hidden)[1].reshape(n_rows, -1)  # ascending per row
-    y_obs = ndtri(_grouped_apply(model.marginals, obs_idx, obs_vals, "cdf"))
+    y_obs = ndtri(_grouped_apply(model, obs_idx, obs_vals, "cdf"))
     corr = model.correlation
     weights = np.linalg.solve(
         corr[obs_idx[:, :, None], obs_idx[:, None, :]], y_obs[..., None]
     )
     u_mean = ndtr((corr[free[:, :, None], obs_idx[:, None, :]] @ weights)[..., 0])
-    out[rows, free] = _grouped_apply(model.marginals, free, u_mean, "quantile")
+    out[rows, free] = _grouped_apply(model, free, u_mean, "quantile")
     return out
 
 

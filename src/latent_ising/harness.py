@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import build_decoder, encode_training
+from .coding import encode_training
 from .copula_lab import (
     CopulaModel,
     Dataset,
@@ -29,7 +29,7 @@ from .copula_lab import (
     median_predictor,
     sample,
 )
-from .ising import LatentIsingModel, assemble
+from .ising import LatentIsingModel, assemble, check_alpha
 from .pairwise_em import PairSamples, em_fit, em_iterates
 from .propagation import (
     Engine,
@@ -132,6 +132,7 @@ def fit_from_copula(
     """
     if em_select not in ("prediction", "likelihood"):
         raise ValueError(f"unknown em_select: {em_select!r}")
+    check_alpha(alpha)
     data = sample(truth, n_train, seed)
     columns = data.values
     encoders, codes = zip(*(
@@ -207,7 +208,8 @@ def decimate(
     All replicates are stepped together: at reveal step k every replicate
     has exactly k nodes observed, so the solver or the sweep kernel, the
     exact predictor and the decoders each run once per step on arrays with
-    a leading replicate axis.  Every replicate stops at its own
+    a leading replicate axis, each latent predictor's decode in one call of
+    its model's batched decoder.  Every replicate stops at its own
     convergence, so the table is the one a replicate-by-replicate loop of
     one-run calls produces.
     """
@@ -277,13 +279,6 @@ def decimate(
         for key, engine in engines.items()
     }
     tilts = {key: None for key in solvers}
-    decoders = {
-        (key, dec_kind): [
-            build_decoder(dec_kind, enc) for enc in needed_models[key].encoders
-        ]
-        for name, key, dec_kind in plans
-        if key is not None
-    }
     medians = median_predictor(truth, range(n))
     median_row = np.array([medians[i] for i in range(n)])
 
@@ -333,10 +328,7 @@ def decimate(
 
         for name, key, dec_kind in plans:
             if key is not None:
-                decs = decoders[(key, dec_kind)]
-                preds = np.column_stack(
-                    [decs[i].decode(beliefs[key][:, i]) for i in range(n)]
-                )
+                preds = needed_models[key].decoder(dec_kind).decode(beliefs[key])
                 converged, work[name][:, col], resid[name][:, col] = runs[key]
                 nonconv[name][:, col] = ~converged
             elif name == "exact":

@@ -17,11 +17,14 @@ from functools import cached_property
 
 import numpy as np
 
+from .coding import BatchDecoder
+
 __all__ = [
     "GraphTopology",
     "LatentIsingModel",
     "PairwiseMarginal",
     "assemble",
+    "check_alpha",
     "exact_joint",
 ]
 
@@ -129,11 +132,28 @@ class LatentIsingModel:
     phi: np.ndarray                # shape (N, 2), phi[i, s]
     psi: np.ndarray                # shape (E, 2, 2), psi[e, s_i, s_j]
     encoders: tuple | None = None
+    _decoders: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
+
+    def decoder(self, kind: str) -> BatchDecoder:
+        """The batched decoder of the given kind over every node, built on
+        its first use and kept with the model."""
+        if kind not in self._decoders:
+            if self.encoders is None:
+                raise ValueError("model carries no encoders")
+            self._decoders[kind] = BatchDecoder(kind, self.encoders)
+        return self._decoders[kind]
 
     def with_alpha(self, alpha: float) -> "LatentIsingModel":
         """Reassemble with a new temperature, reusing the fitted marginals."""
         return assemble(self.topology, self.marginals, alpha,
                         encoders=self.encoders, node_p1=self.node_p1)
+
+
+def check_alpha(alpha: float):
+    """Reject a temperature outside [0, 1] (NaN included)."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
 
 
 def assemble(
@@ -153,8 +173,7 @@ def assemble(
     marginals = tuple(marginals)
     if len(marginals) != topology.n_edges:
         raise ValueError("one pairwise marginal required per edge")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
+    check_alpha(alpha)
 
     n = topology.n_nodes
     p1 = np.full(n, np.nan)

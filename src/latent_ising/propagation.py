@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coding import build_decoder
 from .ising import GraphTopology, LatentIsingModel
 
 _FLOOR = 1e-12  # divisor floor for mirror ratios against vanishing messages
@@ -858,17 +857,14 @@ def _node_index(i, n_nodes: int) -> int:
 
 def predict(model: LatentIsingModel, beliefs: BeliefState,
             decoder: str = "inverse-cdf", observed=None) -> dict:
-    """Decode beliefs into real predictions for the unobserved nodes."""
-    if model.encoders is None:
-        raise ValueError("model carries no encoders")
+    """Decode beliefs into real predictions for the unobserved nodes, in
+    one call of the model's decoder of that kind (``model.decoder``)."""
     skip = set(beliefs.constraints) if observed is None else set(observed)
-    out = {}
-    for i in range(model.topology.n_nodes):
-        if i in skip:
-            continue
-        dec = build_decoder(decoder, model.encoders[i])
-        out[i] = float(dec.decode(beliefs.node_beliefs[i, 1]))
-    return out
+    hidden = np.array(
+        [i for i in range(model.topology.n_nodes) if i not in skip], dtype=np.intp
+    )
+    values = model.decoder(decoder).decode(beliefs.node_beliefs[hidden, 1], hidden)
+    return dict(zip(hidden.tolist(), values.tolist()))
 
 
 def graph_cut_check(factors, constrained) -> str:

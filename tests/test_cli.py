@@ -297,7 +297,7 @@ ERROR_BOUNDARY = [
     (_decimate("--predictors", "foo"), "decimate: unknown predictor: 'foo'"),
     (_decimate("--predictors", "exact,exact"), "decimate: duplicate predictor"),
     (_decimate("--predictors", "exact", replicates="0"),
-     "decimate: sample size must be positive"),
+     "decimate: --replicates must be at least 1, got 0"),
     (_decimate("--predictors", "knn", "--history", "history.csv", "--knn-k", "100000"),
      "decimate: k exceeds history size"),
     (_decimate("--predictors", "knn", "--history", "history.csv", "--knn-k", "0"),
@@ -314,7 +314,12 @@ ERROR_BOUNDARY = [
      "decimate: wrongly typed field ("),
     (_decimate("--predictors", "exact", truth="t_negative_beta.json"),
      "decimate: beta marginal needs finite a, b > 0, got a=-1.0, b=2.0"),
-    (_gen_model("--topology", "tree:x"), "gen-model: invalid literal for int()"),
+    (_gen_model("--topology", "tree:x"),
+     "gen-model: --topology 'tree:x': expected tree:<connectivity>, an integer"),
+    (_gen_model("--topology", "pair", "--rho", "2"),
+     "gen-model: --rho must lie in the open interval (-1, 1), got 2.0"),
+    (_gen_model("--topology", "pair", "--rho", "-1"),
+     "gen-model: --rho must lie in the open interval (-1, 1), got -1.0"),
     (_gen_model("--topology", "tree:1"),
      "gen-model: interior connectivity must be at least 2"),
     (_gen_model("--topology", "tree:3", "--nodes", "1"),

@@ -10,6 +10,7 @@ from latent_ising import (
     marginal_p1,
 )
 from latent_ising.coding import (
+    BatchDecoder,
     BayesMedianStep,
     BayesQuadCdf,
     InverseCdf,
@@ -269,3 +270,79 @@ def test_decode_rejects_invalid_belief(kind):
     for b in (1.2, -0.1, np.nan, np.array([0.5, np.nan])):
         with pytest.raises(ValueError, match="invalid probability"):
             dec.decode(b)
+
+
+@pytest.mark.parametrize("kind", ["cdf", "median-step"])
+def test_encode_training_codes_with_ties(kind):
+    # a tie's code is the count at or below it, the right end of its run
+    samples = np.round(np.random.default_rng(3).normal(size=2001), 1)
+    enc, codes = encode_training(kind, samples)
+    assert len(np.unique(samples)) < 100
+    np.testing.assert_array_equal(codes, np.asarray(enc.encode(samples)))
+    if kind == "cdf":
+        np.testing.assert_array_equal(codes, enc.cdf.evaluate(samples))
+    assert enc.p1 == float(np.mean(codes))
+
+
+# --- batched decoders ----------------------------------------------------------
+
+DECODER_ENCODERS = {
+    "inverse-cdf": "cdf",
+    "bayes-quad": "cdf",
+    "bayes-median-step": "median-step",
+    "bayes-mean-step": "median-step",
+}
+# equal counts take the shared rank table, unequal ones the per-node ranks
+SAMPLE_COUNTS = {"equal": (40, 40, 40, 40), "ragged": (5, 17, 40, 333)}
+
+
+def _encoders(enc_kind, counts):
+    rng = np.random.default_rng(21)
+    # rounding leaves ties, so the quantile's step down is exercised
+    return [build_encoder(enc_kind, np.round(rng.gamma(2.0, size=n), 1))
+            for n in counts]
+
+
+def _beliefs(counts):
+    """Per node: 0, 1, every rank i / n of its ECDF and uniform draws."""
+    rng = np.random.default_rng(22)
+    rows = max(counts) + 20
+    b = rng.uniform(size=(rows, len(counts)))
+    for p, n in enumerate(counts):
+        b[:n + 1, p] = np.arange(n + 1) / n
+        b[-2:, p] = (0.0, 1.0)
+    return b
+
+
+@pytest.mark.parametrize("layout", sorted(SAMPLE_COUNTS))
+@pytest.mark.parametrize("kind", sorted(DECODER_ENCODERS))
+def test_batch_decoder_matches_node_by_node(kind, layout):
+    counts = SAMPLE_COUNTS[layout]
+    encoders = _encoders(DECODER_ENCODERS[kind], counts)
+    b = _beliefs(counts)
+    expected = np.column_stack(
+        [build_decoder(kind, enc).decode(b[:, p]) for p, enc in enumerate(encoders)]
+    )
+    dec = BatchDecoder(kind, encoders)
+    np.testing.assert_array_equal(dec.decode(b), expected)
+    nodes = np.array([3, 1])
+    np.testing.assert_array_equal(dec.decode(b[:, nodes], nodes), expected[:, nodes])
+    np.testing.assert_array_equal(dec.decode(b[7]), expected[7])
+    assert dec.decode(b[7, 2], 2) == expected[7, 2]
+
+
+@pytest.mark.parametrize("layout", sorted(SAMPLE_COUNTS))
+@pytest.mark.parametrize("kind", sorted(DECODER_ENCODERS))
+def test_batch_decoder_rejects_invalid_belief(kind, layout):
+    counts = SAMPLE_COUNTS[layout]
+    dec = BatchDecoder(kind, _encoders(DECODER_ENCODERS[kind], counts))
+    for bad in (np.nan, -0.1, 1.1):
+        b = np.full((3, len(counts)), 0.5)
+        b[1, 2] = bad
+        with pytest.raises(ValueError, match="invalid probability"):
+            dec.decode(b)
+
+
+def test_batch_decoder_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown decoder kind"):
+        BatchDecoder("mode", _encoders("cdf", (10,)))

@@ -179,6 +179,23 @@ def test_exact_predictor_groups_equal_marginals_by_value(monkeypatch):
     np.testing.assert_array_equal(got, expected)
 
 
+def test_marginal_groups_are_computed_once_per_model():
+    cdf = EmpiricalCdf(np.linspace(0.0, 1.0, 11))
+    marginals = (BetaMarginal(1.0, 1.0), EmpiricalMarginal(cdf), BetaMarginal(1.0, 1.0),
+                 EmpiricalMarginal(cdf), EmpiricalMarginal(EmpiricalCdf([0.2, 0.4])))
+    truth = generate_copula(regular_tree_topology(2, 5), seed=3, marginals=marginals)
+    group_of, reps = truth.marginal_groups
+    np.testing.assert_array_equal(group_of, [0, 1, 0, 1, 2])
+    assert reps == marginals[:2] + marginals[4:]
+    assert truth.marginal_groups is truth.marginal_groups
+    obs_idx = np.array([[0, 3], [1, 2]])
+    obs_vals = np.array([[0.3, 0.6], [0.5, 0.1]])
+    one_by_one = dataclasses.replace(
+        truth, marginals=tuple(_OwnMarginal(m) for m in marginals))
+    np.testing.assert_array_equal(exact_predictor_batch(truth, obs_idx, obs_vals),
+                                  exact_predictor_batch(one_by_one, obs_idx, obs_vals))
+
+
 def test_exact_predictor_requires_observations():
     model = generate_copula(pair_topology(), seed=13)
     with pytest.raises(ValueError):

@@ -4,11 +4,16 @@ import pytest
 from latent_ising import (
     BetaMarginal,
     GraphTopology,
+    LatentIsingModel,
     Schedule,
+    build_decoder,
     decimate,
     fit_from_copula,
     generate_copula,
+    impose_observations,
+    mbp_run,
     pair_topology,
+    predict,
     regular_tree_topology,
     sample,
 )
@@ -140,20 +145,42 @@ def test_fit_matches_edge_by_edge_reference(encoder_kind, em_select):
 
 @pytest.mark.parametrize("encoder_kind", ["cdf", "median-step"])
 def test_fit_encodes_each_column_once(monkeypatch, encoder_kind):
-    from latent_ising import coding
+    from latent_ising import coding, harness
 
     cls = coding.ENCODER_KINDS[encoder_kind]
     original = cls.encode
     calls = []
+    columns = []
 
     def counted(self, x):
         calls.append(np.size(x))
         return original(self, x)
 
+    def training(kind, samples):
+        columns.append(np.size(samples))
+        return coding.encode_training(kind, samples)
+
     monkeypatch.setattr(cls, "encode", counted)
+    monkeypatch.setattr(harness, "encode_training", training)
     truth = generate_copula(regular_tree_topology(3, 16), seed=9)
     fit_from_copula(truth, encoder_kind, n_train=501, seed=10)
-    assert calls == [501] * 16
+    assert columns == [501] * 16
+    # the edges reuse the column codes; a cdf column's codes come from the
+    # sort of its ECDF, with no encode call at all
+    assert calls == ([] if encoder_kind == "cdf" else [501] * 16)
+
+
+def test_fit_checks_alpha_before_sampling(monkeypatch):
+    from latent_ising import harness
+
+    def no_sample(*args, **kwargs):
+        raise AssertionError("sampled before the alpha check")
+
+    monkeypatch.setattr(harness, "sample", no_sample)
+    truth = generate_copula(pair_topology(), seed=0)
+    for alpha in (2.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            fit_from_copula(truth, "cdf", n_train=101, seed=1, alpha=alpha)
 
 
 def test_small_tree_decimation_smoke():
@@ -256,3 +283,61 @@ def test_tree_decimation_is_exact_whatever_the_schedule():
     one_sweep = Schedule(max_sweeps=1, auto_damp=False)
     assert decimate(truth, fitted, schedule=one_sweep, **kwargs).table() == rows
     _assert_matches_reference(rows, reference_decimation(truth, fitted, **kwargs))
+
+
+# --- batched decoding against node-by-node decoders -------------------------
+
+class _NodeByNodeDecoder:
+    """One ``build_decoder`` decoder per node, called node by node: the
+    decoding that ``LatentIsingModel.decoder`` batches."""
+
+    def __init__(self, kind, encoders):
+        self.decoders = [build_decoder(kind, enc) for enc in encoders]
+
+    def decode(self, b, nodes=None):
+        nodes = range(len(self.decoders)) if nodes is None else nodes
+        return np.stack(
+            [self.decoders[i].decode(b[..., k]) for k, i in enumerate(nodes)],
+            axis=-1,
+        )
+
+
+@pytest.fixture(scope="module", params=["tree", "loopy"])
+def fitted_pair_of_models(request):
+    topo = regular_tree_topology(3, 16) if request.param == "tree" else _grid_topology(3)
+    truth = generate_copula(topo, seed=12)
+    fitted = [fit_from_copula(truth, kind, n_train=801, seed=13)[0]
+              for kind in ("cdf", "median-step")]
+    return truth, fitted
+
+
+def test_predict_matches_node_by_node_decoders(fitted_pair_of_models):
+    truth, fitted = fitted_pair_of_models
+    x = sample(truth, 1, seed=14).values[0]
+    observed = {i: float(x[i]) for i in (0, 4, 5)}
+    for model in fitted:
+        state, _ = mbp_run(model, impose_observations(model, observed))
+        hidden = [i for i in range(truth.n_nodes) if i not in observed]
+        kinds = (("inverse-cdf", "bayes-quad") if model.encoders[0].kind == "cdf"
+                 else ("bayes-median-step", "bayes-mean-step"))
+        for kind in kinds:
+            expected = {
+                i: float(build_decoder(kind, model.encoders[i])
+                         .decode(state.node_beliefs[i, 1]))
+                for i in hidden
+            }
+            got = predict(model, state, kind, observed=observed)
+            assert got == expected and list(got) == hidden
+            assert model.decoder(kind) is model.decoder(kind)
+
+
+def test_decimation_table_matches_node_by_node_decoders(
+        monkeypatch, fitted_pair_of_models):
+    truth, fitted = fitted_pair_of_models
+    kwargs = dict(predictors=["inverse-cdf", "bayes-quad", "median-step",
+                              "bayes-mean-step", "exact"],
+                  replicates=10, seed=15)
+    rows = decimate(truth, fitted, **kwargs).table()
+    monkeypatch.setattr(LatentIsingModel, "decoder",
+                        lambda self, kind: _NodeByNodeDecoder(kind, self.encoders))
+    assert decimate(truth, fitted, **kwargs).table() == rows
