@@ -17,7 +17,7 @@ from math import ceil, log2
 import numpy as np
 
 from .ising import LatentIsingModel
-from .propagation import Engine, Schedule
+from .propagation import Schedule
 
 _JITTER = 1e-3
 _JITTER_SEED = 181711
@@ -34,8 +34,9 @@ class AlphaSearchConfig:
     schedule: Schedule = PROBE_SCHEDULE
 
     def __post_init__(self):
-        if self.precision <= 0.0:
-            raise ValueError("precision must be positive")
+        if not 0.0 < self.precision < np.inf:
+            raise ValueError(
+                f"precision must be positive and finite, got {self.precision}")
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
 
@@ -57,9 +58,8 @@ def deviation(model: LatentIsingModel,
     updates (``PROBE_SCHEDULE``); returns max_i |b_i(1) - p_i1|, or +inf
     when the run does not converge.
     """
-    engine = Engine(model)
     init = _jittered_init(model.topology.n_edges)
-    state, report = engine.run(None, schedule, init_messages=init)
+    state, report = model.engine.run(None, schedule, init_messages=init)
     if not report.converged:
         return np.inf
     return float(np.max(np.abs(state.node_beliefs[:, 1] - model.node_p1)))

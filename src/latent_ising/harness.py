@@ -31,13 +31,7 @@ from .copula_lab import (
 )
 from .ising import LatentIsingModel, assemble, check_alpha
 from .pairwise_em import PairSamples, em_fit, em_iterates
-from .propagation import (
-    Engine,
-    ForestSolver,
-    Schedule,
-    impose_observations,
-    reveal_tilt,
-)
+from .propagation import Schedule, impose_observations, reveal_tilt
 
 __all__ = [
     "fit_from_copula",
@@ -190,14 +184,16 @@ def decimate(
     """Run the decimation experiment and aggregate per-bin metrics.
 
     ``fitted`` is one latent model or a list of them; each latent predictor
-    is routed to the model whose encoder kind it needs.  Reveal step k of
+    is routed to the model whose encoder kind it needs, and a model must
+    hold one kind on every node.  Reveal step k of
     n falls in the bin floor((k / n) / ``BIN_WIDTH``), the last bin
     absorbing k / n = 1.  Identical seeds give bit-identical results.
 
-    A forest-shaped model is solved exactly by ``ForestSolver``: each
-    replicate warm-starts from its tilts of the previous reveal step, and
-    the newly revealed node starts at ``reveal_tilt`` of its target and its
-    previous belief.  A loopy model runs ``Engine.sweep`` under
+    A forest-shaped model is solved exactly by ``model.engine.forest``
+    (the ``ForestSolver`` its queries share): each replicate warm-starts
+    from its tilts of the previous reveal step, and the newly revealed
+    node starts at ``reveal_tilt`` of its target and its previous belief.
+    A loopy model runs ``model.engine.sweep`` under
     ``schedule`` (default ``EXPERIMENT_SCHEDULE``), warm-started from the
     replicate's previous messages; ``schedule`` applies to loopy models
     only.  Runs that fail to settle are kept and reported through the
@@ -220,6 +216,10 @@ def decimate(
         if model.encoders is None:
             raise ValueError("fitted model carries no encoders")
         kind = model.encoders[0].kind
+        for i, enc in enumerate(model.encoders):
+            if enc.kind != kind:
+                raise ValueError(f"fitted model mixes encoder kinds: node {i} "
+                                 f"has {enc.kind!r}, node 0 has {kind!r}")
         if kind in by_encoder:
             raise ValueError(f"two fitted models with {kind!r} encoders")
         by_encoder[kind] = model
@@ -259,14 +259,6 @@ def decimate(
     for rep in range(replicates):
         reveal[rep, len(always):] = order_rng.permutation(rest)
 
-    solvers = {
-        key: ForestSolver(model)
-        for key, model in needed_models.items() if model.topology.is_forest
-    }
-    engines = {
-        key: Engine(model)
-        for key, model in needed_models.items() if key not in solvers
-    }
     # every node's encoded outcome, normalized as Engine.run normalizes
     # constraints; a replicate pins the entries of the nodes it has revealed
     bstar = {}
@@ -274,11 +266,12 @@ def decimate(
         imposed = impose_observations(model, {i: outcomes[:, i] for i in range(n)})
         vec = np.stack([imposed[i].T for i in range(n)], axis=1)
         bstar[key] = vec / vec.sum(axis=-1, keepdims=True)
-    messages = {
-        key: np.full((replicates, engine.n_slots, 2), 0.5)
-        for key, engine in engines.items()
+    # each model's warm start: tilts on a forest, messages on a loopy graph
+    warm = {
+        key: None if model.topology.is_forest
+        else np.full((replicates, model.engine.n_slots, 2), 0.5)
+        for key, model in needed_models.items()
     }
-    tilts = {key: None for key in solvers}
     medians = median_predictor(truth, range(n))
     median_row = np.array([medians[i] for i in range(n)])
 
@@ -310,21 +303,20 @@ def decimate(
             optimal = np.broadcast_to(median_row, outcomes.shape)
 
         runs = {}  # key -> (converged, steps or sweeps, residual)
-        for key, solver in solvers.items():
-            start = tilts[key]
-            if start is not None:
-                start = np.where(
-                    revealed, reveal_tilt(bstar[key][..., 1], beliefs[key]), start
-                )
-            b, tilts[key], *runs[key] = solver.solve(observed, bstar[key], start)
+        for key, model in needed_models.items():
+            engine, start = model.engine, warm[key]
+            if model.topology.is_forest:
+                if start is not None:
+                    start = np.where(
+                        revealed, reveal_tilt(bstar[key][..., 1], beliefs[key]), start
+                    )
+                b, warm[key], *runs[key] = engine.forest.solve(
+                    observed, bstar[key], start)
+            else:
+                warm[key], *runs[key] = engine.sweep(start, observed, bstar[key],
+                                                     schedule)
+                b = engine.node_beliefs(warm[key], observed, bstar[key])
             beliefs[key] = b[..., 1]
-        for key, engine in engines.items():
-            messages[key], *runs[key] = engine.sweep(
-                messages[key], observed, bstar[key], schedule
-            )
-            beliefs[key] = engine.node_beliefs(
-                messages[key], observed, bstar[key]
-            )[..., 1]
 
         for name, key, dec_kind in plans:
             if key is not None:

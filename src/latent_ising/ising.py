@@ -132,17 +132,26 @@ class LatentIsingModel:
     phi: np.ndarray                # shape (N, 2), phi[i, s]
     psi: np.ndarray                # shape (E, 2, 2), psi[e, s_i, s_j]
     encoders: tuple | None = None
-    _decoders: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def decoder(self, kind: str) -> BatchDecoder:
         """The batched decoder of the given kind over every node, built on
         its first use and kept with the model."""
-        if kind not in self._decoders:
+        key = ("decoder", kind)
+        if key not in self._cache:
             if self.encoders is None:
                 raise ValueError("model carries no encoders")
-            self._decoders[kind] = BatchDecoder(kind, self.encoders)
-        return self._decoders[kind]
+            self._cache[key] = BatchDecoder(kind, self.encoders)
+        return self._cache[key]
+
+    @property
+    def engine(self):
+        """The model's ``propagation.Engine``, built on first use and kept."""
+        if "engine" not in self._cache:
+            from .propagation import Engine  # propagation imports this module
+            self._cache["engine"] = Engine(self)
+        return self._cache["engine"]
 
     def with_alpha(self, alpha: float) -> "LatentIsingModel":
         """Reassemble with a new temperature, reusing the fitted marginals."""

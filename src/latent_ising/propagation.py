@@ -20,11 +20,18 @@ many independent runs on one model together (``Engine.sweep``).  Both have
 the same fixed points.  Convergence is declared when the largest message
 change over a sweep drops below the tolerance.  Non-convergence is
 reported, never raised.
+
+Each model keeps one ``Engine`` (``LatentIsingModel.engine``) and each
+engine one ``ForestSolver`` (``Engine.forest``), both built on first use.
+``bp_run``, ``mbp_run``, the temperature probe and ``harness.decimate``
+all run through them, so a stream of queries on one model pays the graph
+set-up once; a run writes nothing to either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -89,6 +96,8 @@ class Schedule:
     def __post_init__(self):
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -121,12 +130,13 @@ class BeliefState:
 
 
 class Engine:
-    """Reusable sweep engine bound to one model.
+    """Message-passing engine bound to one model, kept as ``model.engine``.
 
-    Building the engine precomputes flat slot structures; individual runs
-    (with different constraints or warm-started messages) then avoid any
-    per-run graph work.  One engine instance is single-threaded; separate
-    runs on separate engines may proceed concurrently.
+    Building the engine precomputes flat slot structures, and ``forest``
+    builds the exact solver on first use; runs with different constraints
+    or warm starts then avoid any per-run graph work.  A run writes
+    nothing to the engine, so a reused engine answers every query as a
+    fresh one would.
     """
 
     def __init__(self, model: LatentIsingModel):
@@ -180,7 +190,12 @@ class Engine:
                         dtype=np.intp))
             for k in range(int(degrees.max(initial=0)))
         ]
-        self._forest = None  # ForestSolver, built on the first forest run
+
+    @cached_property
+    def forest(self) -> ForestSolver:
+        """The model's ``ForestSolver``, built on its first use; a graph
+        with a cycle raises ``ValueError``."""
+        return ForestSolver(self.model)
 
     def run(self, constraints=None, schedule: Schedule | None = None,
             init_messages=None):
@@ -190,7 +205,8 @@ class Engine:
         On a larger forest a run with constraints is solved exactly by
         ``ForestSolver`` from zero tilts; ``schedule`` and ``init_messages``
         are validated but do not steer it.  Every other run is ``sweep``
-        with a single run.  Constraint keys must be node ids in 0..N-1.
+        with a single run.  Constraint keys must be node ids in 0..N-1, and
+        each value two finite, nonnegative weights with a positive sum.
         """
         schedule = schedule or Schedule()
         constraints = dict(constraints or {})
@@ -202,7 +218,7 @@ class Engine:
             i = _node_index(i, n_nodes)
             vec = np.asarray(b, dtype=float)
             total = vec.sum()
-            if vec.shape != (2,) or np.any(vec < 0.0) or total <= 0.0:
+            if vec.shape != (2,) or np.any(vec < 0.0) or not 0.0 < total < np.inf:
                 raise ValueError(f"invalid constraint at node {i}")
             pinned[i] = True
             bstar[i] = vec / total
@@ -240,12 +256,10 @@ class Engine:
         zero tilts.  Beliefs, pair beliefs and messages all come from the
         solver's two-pass BP; a non-finite one is never reported as
         converged."""
-        if self._forest is None:
-            self._forest = ForestSolver(self.model)
         observed, bstar = pinned[None], bstar[None]
-        beliefs, theta, converged, steps, residual = self._forest.solve(
+        beliefs, theta, converged, steps, residual = self.forest.solve(
             observed, bstar, np.zeros(observed.shape))
-        edge_beliefs, messages = self._forest.edge_state(observed, bstar, theta)
+        edge_beliefs, messages = self.forest.edge_state(observed, bstar, theta)
         finite = all(np.isfinite(a).all() for a in (beliefs, edge_beliefs, messages))
         state = BeliefState(beliefs[0], edge_beliefs[0], messages[0], constraints)
         report = ConvergenceReport(bool(converged[0]) and finite, int(steps[0]),
@@ -818,13 +832,13 @@ def _normalized(messages: np.ndarray) -> np.ndarray:
 def bp_run(model: LatentIsingModel, schedule: Schedule | None = None,
            init_messages=None):
     """Plain belief propagation: no constraints."""
-    return Engine(model).run(None, schedule, init_messages)
+    return model.engine.run(None, schedule, init_messages)
 
 
 def mbp_run(model: LatentIsingModel, constraints, schedule: Schedule | None = None,
             init_messages=None):
     """Belief propagation with imposed beliefs at the constrained nodes."""
-    return Engine(model).run(constraints, schedule, init_messages)
+    return model.engine.run(constraints, schedule, init_messages)
 
 
 def impose_observations(model: LatentIsingModel, observed: dict) -> dict:

@@ -94,6 +94,9 @@ def test_config_validation():
         AlphaSearchConfig(precision=0.0)
     with pytest.raises(ValueError):
         AlphaSearchConfig(tau=1.5)
+    for precision in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="precision must be positive and finite"):
+            AlphaSearchConfig(precision=precision)
 
 
 def test_nonconvergence_counts_as_past_transition():

@@ -263,6 +263,8 @@ def bad_inputs(pair_files, tmp_path_factory):
         "t_marginal_int.json": {**truth_payload,
                                 "marginals": [7, truth_payload["marginals"][1]]},
         "t_empty_list.json": [],
+        "mixed.json": {**model, "nodes": [model["nodes"][0],
+                                          {**model["nodes"][1], "encoder": "median-step"}]},
         "t_negative_beta.json": {**truth_payload,
                                  "marginals": [{"kind": "beta", "a": -1, "b": 2}] * 2},
     }
@@ -304,6 +306,9 @@ ERROR_BOUNDARY = [
      "decimate: k must be at least 1"),
     (_decimate("--predictors", "exact", fitted=("fitted", "fitted2.npz")),
      "decimate: two fitted models with 'cdf' encoders"),
+    (_decimate("--predictors", "exact", fitted=("mixed.json",)),
+     "decimate: fitted model mixes encoder kinds: node 1 has 'median-step', node 0 "
+     "has 'cdf'"),
     (_decimate("--predictors", "knn", "--history", "nan_history.csv"),
      "decimate: dataset row 3: non-finite value in ['nan', '0.3']"),
     (_decimate("--predictors", "exact", truth="t_edges_int.json"),
@@ -340,6 +345,10 @@ ERROR_BOUNDARY = [
      "calibrate-alpha: tau must lie in (0, 1)"),
     (lambda p: ["calibrate-alpha", "--model", p["fitted"], "--precision", "0"],
      "calibrate-alpha: precision must be positive"),
+    (lambda p: ["calibrate-alpha", "--model", p["fitted"], "--precision", "nan"],
+     "calibrate-alpha: precision must be positive and finite, got nan"),
+    (lambda p: ["calibrate-alpha", "--model", p["fitted"], "--precision", "inf"],
+     "calibrate-alpha: precision must be positive and finite, got inf"),
     (lambda p: ["calibrate-alpha", "--model", p["two.npz"]],
      "calibrate-alpha: expects a single-model file"),
     (_fit("both_ways.csv"), "fit: duplicate edge (1,0)"),

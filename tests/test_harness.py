@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from latent_ising import (
     regular_tree_topology,
     sample,
 )
+
+from latent_ising.model_io import model_from_dict, model_to_dict
 
 from oracles import reference_decimation, reference_fit
 
@@ -124,6 +128,16 @@ def test_two_models_of_one_encoder_kind_rejected(pair_setup):
     with pytest.raises(ValueError, match="two fitted models with 'cdf' encoders"):
         decimate(truth, [fitted_cdf, fitted_step, fitted_cdf], ["exact"],
                  replicates=2, seed=0)
+
+
+def test_model_with_mixed_encoder_kinds_rejected(pair_setup):
+    truth, fitted_cdf, _, _ = pair_setup
+    payload = model_to_dict(fitted_cdf)
+    payload["nodes"][1]["encoder"] = "median-step"
+    mixed = model_from_dict(payload)
+    with pytest.raises(ValueError, match="fitted model mixes encoder kinds: "
+                                         "node 1 has 'median-step', node 0 has 'cdf'"):
+        decimate(truth, mixed, ["inverse-cdf", "bayes-quad"], replicates=2, seed=0)
 
 
 def test_missing_coding_model_rejected(pair_setup):
@@ -341,3 +355,25 @@ def test_decimation_table_matches_node_by_node_decoders(
     monkeypatch.setattr(LatentIsingModel, "decoder",
                         lambda self, kind: _NodeByNodeDecoder(kind, self.encoders))
     assert decimate(truth, fitted, **kwargs).table() == rows
+
+
+@pytest.mark.parametrize("graph", ["tree", "loopy"])
+def test_decimation_table_unchanged_after_queries(graph):
+    # decimation runs on the engine and solver that the model's queries
+    # built and used (graphs above the list traversal's size): its table
+    # is the one of a copy of the model that answered none
+    topo = regular_tree_topology(3, 40) if graph == "tree" else _grid_topology(5)
+    truth = generate_copula(topo, seed=18)
+    model, _ = fit_from_copula(truth, "cdf", n_train=801, seed=19)
+    kwargs = dict(predictors=["inverse-cdf", "bayes-quad", "exact"],
+                  replicates=6, seed=20)
+    rows = decimate(truth, dataclasses.replace(model), **kwargs).table()
+    x = sample(truth, 3, seed=21).values
+    methods = set()
+    for q, nodes in enumerate(((0, 4, 5), (2,), tuple(range(1, truth.n_nodes, 3)))):
+        observed = {i: float(x[q, i]) for i in nodes}
+        methods.add(mbp_run(model, impose_observations(model, observed))[1].method)
+    assert methods == {"newton" if graph == "tree" else "sweep"}
+    assert decimate(truth, model, **kwargs).table() == rows
+    mbp_run(model, impose_observations(model, {3: float(x[0, 3])}))
+    assert decimate(truth, model, **kwargs).table() == rows

@@ -1,3 +1,6 @@
+import warnings
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from latent_ising import (
     mbp_run,
     predict,
 )
+from latent_ising.alpha_calibration import deviation
 from latent_ising.coding import bayes_quad_level
 from latent_ising.propagation import _LIST_MAX_SLOTS
 
@@ -659,7 +663,7 @@ def test_run_on_forests_returns_the_fixed_point():
         assert converged[0] and sweeps[0] == 1
 
 
-def test_run_on_forests_validates_its_inputs():
+def test_run_on_forests_validates_its_inputs(monkeypatch):
     rng = np.random.default_rng(24)
     engine, _, _, constraints = next(_forest_queries(rng, 1))
     assert constraints  # the run takes the forest path
@@ -672,6 +676,102 @@ def test_run_on_forests_validates_its_inputs():
     for node in (-1, n):
         with pytest.raises(ValueError, match=f"node id {node} out of range"):
             engine.run({**constraints, node: np.array([0.5, 0.5])})
+    # a constraint that is not two finite, nonnegative weights fails before
+    # any sweep or solve on every path of Engine.run: the list traversal
+    # (a pair), the forest solver and the sweep kernel (a loopy graph)
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before the constraints were checked")
+
+    for owner, name in ((Engine, "_sweep_sequential"), (Engine, "sweep"),
+                        (ForestSolver, "solve")):
+        monkeypatch.setattr(owner, name, no_run)
+    engines = (Engine(_random_tree_model(rng, 2)), engine,
+               Engine(_random_loopy_model(rng, _LIST_MAX_SLOTS)))
+    for run_engine in engines:
+        for b in ([np.nan, 1.0], [np.inf, 1.0], [1.0, np.inf], [np.nan, np.nan],
+                  [1.0, -np.inf]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="invalid constraint at node 0"):
+                    run_engine.run({**constraints, 0: b} if run_engine is engine
+                                   else {0: b})
+                with pytest.raises(ValueError, match="invalid constraint at node 0"):
+                    mbp_run(run_engine.model, {0: b})
+
+
+def test_model_keeps_one_engine_and_one_solver(monkeypatch):
+    # the engine is built on first use and kept with the model, and the
+    # engine builds its ForestSolver once, whatever the queries
+    builds = Counter()
+    for cls in (Engine, ForestSolver):
+        def counted(self, model, _init=cls.__init__, _name=cls.__name__):
+            builds[_name] += 1
+            _init(self, model)
+        monkeypatch.setattr(cls, "__init__", counted)
+    rng = np.random.default_rng(25)
+    model = _random_tree_model(rng, _LIST_MAX_SLOTS // 2 + 2)
+    assert not builds
+    engine = model.engine
+    assert model.engine is engine and engine.model is model
+    assert builds == {"Engine": 1}
+    for _ in range(3):
+        constraints, _, _ = _pinned_query(rng, model.topology.n_nodes)
+        assert mbp_run(model, constraints)[1].method == "newton"
+        assert bp_run(model)[1].method == "sweep"
+        deviation(model)
+    assert engine.forest is engine.forest
+    assert builds == {"Engine": 1, "ForestSolver": 1}
+    other = model.with_alpha(0.5)
+    assert other.engine is not engine and other.engine.model is other
+    assert "Engine" not in repr(model)
+
+
+def _grid_model(rng, k, alpha):
+    rows = [(r * k + c, r * k + c + 1) for r in range(k) for c in range(k - 1)]
+    cols = [(r * k + c, (r + 1) * k + c) for r in range(k - 1) for c in range(k)]
+    edges = rows + cols
+    _, marginals = random_consistent_marginals(rng, edges, k * k)
+    return assemble(GraphTopology(k * k, tuple(edges)), marginals, alpha)
+
+
+@pytest.mark.parametrize("graph", ["pair", "tree", "grid"])
+def test_reused_engine_matches_fresh_engines(graph):
+    # a sequence of different queries through the model's one engine gives,
+    # query by query, what a freshly built engine gives: no run leaves
+    # state behind for the next
+    rng = np.random.default_rng(26)
+    if graph == "pair":
+        model = _random_tree_model(rng, 2)
+    elif graph == "tree":
+        model = _random_tree_model(rng, 40, alpha=0.8)
+        assert model.engine.n_slots > _LIST_MAX_SLOTS
+    else:
+        model = _grid_model(rng, 5, alpha=0.6)
+        assert not model.topology.is_forest
+    n, n_slots = model.topology.n_nodes, model.engine.n_slots
+    first, _, _ = _pinned_query(rng, n)
+    queries = [
+        (first, None, None),
+        (None, None, None),
+        ({0: np.array([1.0, 0.0]), n - 1: np.array([0.0, 2.0])}, None, None),
+        (_pinned_query(rng, n)[0], None, _random_init(rng, n_slots // 2)),
+        ({1: np.array([0.3, 0.7])}, Schedule(max_sweeps=3, auto_damp=False), None),
+        (None, Schedule(tol=1e-4), _random_init(rng, n_slots // 2)),
+        (first, None, None),
+    ]
+    engine = model.engine
+    methods = set()
+    for constraints, schedule, init in queries:
+        state, report = mbp_run(model, constraints, schedule, init)
+        expected, expected_report = Engine(model).run(constraints, schedule, init)
+        for name in ("node_beliefs", "edge_beliefs", "messages"):
+            np.testing.assert_array_equal(getattr(state, name),
+                                          getattr(expected, name))
+        assert state.constraints.keys() == expected.constraints.keys()
+        assert report == expected_report
+        methods.add(report.method)
+    assert model.engine is engine
+    assert methods == ({"newton", "sweep"} if graph == "tree" else {"sweep"})
 
 
 def test_forest_solver_rejects_cycles():
