@@ -11,6 +11,7 @@ Two encoder families are provided:
 Decoders either invert the CDF directly (``inverse-cdf``) or take a
 statistic of the belief-reweighted mixture of the two conditional
 distributions (``bayes-quad``, ``bayes-median-step``, ``bayes-mean-step``).
+``DECODER_KINDS`` names the encoder kind that each decoder kind inverts.
 """
 
 from __future__ import annotations
@@ -297,7 +298,13 @@ class BayesMeanStep:
         return float(out) if out.ndim == 0 else out
 
 
-DECODER_KINDS = ("inverse-cdf", "bayes-quad", "bayes-median-step", "bayes-mean-step")
+# decoder kind -> the encoder kind whose code it inverts
+DECODER_KINDS = {
+    "inverse-cdf": "cdf",
+    "bayes-quad": "cdf",
+    "bayes-median-step": "median-step",
+    "bayes-mean-step": "median-step",
+}
 
 
 def build_decoder(kind: str, encoder):
@@ -327,6 +334,9 @@ class BatchDecoder:
     table of n samples serves every node; otherwise each node's rank is
     recomputed as ``i / n_p``, the float that its own table stores.
     ``bayes-mean-step`` keeps the two conditional means of every node.
+    Every node must carry the encoder kind that ``kind`` inverts
+    (``DECODER_KINDS``); otherwise ``ValueError`` names the first node that
+    does not.
     """
 
     __slots__ = ("kind", "_level", "_samples", "_starts", "_n", "_below",
@@ -335,6 +345,11 @@ class BatchDecoder:
     def __init__(self, kind: str, encoders):
         if kind not in DECODER_KINDS:
             raise ValueError(f"unknown decoder kind: {kind!r}")
+        code = DECODER_KINDS[kind]
+        for i, enc in enumerate(encoders):
+            if enc.kind != code:
+                raise ValueError(f"decoder {kind!r} needs {code!r} encoders: "
+                                 f"node {i} has {enc.kind!r}")
         self.kind = kind
         if kind == "bayes-mean-step":
             conds = [conditional_cdfs(enc) for enc in encoders]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import encode_training
+from .coding import DECODER_KINDS, encode_training
 from .copula_lab import (
     CopulaModel,
     Dataset,
@@ -41,12 +41,11 @@ __all__ = [
     "BASELINE_PREDICTORS",
 ]
 
-# predictor name -> (encoder kind of the fitted model, decoder kind)
+# predictor name -> (encoder kind of the fitted model, decoder kind); each
+# predictor is named for its decoder, but median-step for its encoder
 LATENT_PREDICTORS = {
-    "inverse-cdf": ("cdf", "inverse-cdf"),
-    "bayes-quad": ("cdf", "bayes-quad"),
-    "median-step": ("median-step", "bayes-median-step"),
-    "bayes-mean-step": ("median-step", "bayes-mean-step"),
+    ("median-step" if dec == "bayes-median-step" else dec): (enc, dec)
+    for dec, enc in DECODER_KINDS.items()
 }
 BASELINE_PREDICTORS = ("exact", "knn", "median")
 

@@ -137,7 +137,9 @@ class LatentIsingModel:
 
     def decoder(self, kind: str) -> BatchDecoder:
         """The batched decoder of the given kind over every node, built on
-        its first use and kept with the model."""
+        its first use and kept with the model.  A model whose nodes do not
+        all carry the encoder kind that ``kind`` inverts
+        (``coding.DECODER_KINDS``) raises ``ValueError``."""
         key = ("decoder", kind)
         if key not in self._cache:
             if self.encoders is None:

@@ -17,9 +17,11 @@ graph.  On small graphs (at most ``_LIST_MAX_SLOTS`` slots) a pure-Python
 sweep updates the slots in place in fixed order; above that, the
 vectorized synchronous kernel updates every slot at once, and it can step
 many independent runs on one model together (``Engine.sweep``).  Both have
-the same fixed points.  Convergence is declared when the largest message
-change over a sweep drops below the tolerance.  Non-convergence is
-reported, never raised.
+the same fixed points and read one slot layout, numpy arrays built from the
+edge list; the list traversal derives its Python tables from them on its
+first run.  Convergence is declared when the largest message change over a
+sweep drops below the tolerance.  Non-convergence is reported, never
+raised.
 
 Each model keeps one ``Engine`` (``LatentIsingModel.engine``) and each
 engine one ``ForestSolver`` (``Engine.forest``), both built on first use.
@@ -80,13 +82,14 @@ class Schedule:
     setting: ``Engine.run`` sweeps graphs of at most ``_LIST_MAX_SLOTS``
     message slots in place in fixed (factor, endpoint) order and larger
     ones with the synchronous kernel, which updates every slot from the
-    previous sweep's messages.  A constrained run on a larger forest does
-    not sweep: ``ForestSolver`` solves it, and the schedule does not apply.
-    ``auto_damp`` engages damping 0.5 mid-run if the residual plateaus,
-    and raises it further on later plateaus, which rescues period-2
-    message oscillations of synchronous sweeps without changing the fixed
-    point.  It is on by default; the temperature calibration turns it off,
-    because it probes the instabilities of pure-update dynamics.
+    previous sweep's messages; both take the same schedule.  A constrained
+    run on a larger forest does not sweep: ``ForestSolver`` solves it, and
+    the schedule does not apply.  ``auto_damp`` engages damping 0.5 mid-run
+    if the residual plateaus, and raises it further on later plateaus,
+    which rescues period-2 message oscillations of synchronous sweeps
+    without changing the fixed point.  It is on by default; the temperature
+    calibration turns it off, because it probes the instabilities of
+    pure-update dynamics.
     """
 
     max_sweeps: int = 10_000
@@ -132,64 +135,66 @@ class BeliefState:
 class Engine:
     """Message-passing engine bound to one model, kept as ``model.engine``.
 
-    Building the engine precomputes flat slot structures, and ``forest``
-    builds the exact solver on first use; runs with different constraints
-    or warm starts then avoid any per-run graph work.  A run writes
-    nothing to the engine, so a reused engine answers every query as a
-    fresh one would.
+    Building the engine lays out the message slots as numpy arrays, straight
+    from the edge list; the sweep kernel, node beliefs and pair beliefs all
+    read them.  The list traversal's Python tables and ``forest``, the exact
+    solver, are built on first use, so an engine above ``_LIST_MAX_SLOTS``
+    slots never builds the tables.  Runs with different constraints or warm
+    starts then avoid any per-run graph work.  A run writes nothing to the
+    engine but those first-use builds, so a reused engine answers every
+    query as a fresh one would.
     """
 
     def __init__(self, model: LatentIsingModel):
         self.model = model
         topo = model.topology
-        n_edges = topo.n_edges
-        self.n_slots = 2 * n_edges
-
-        src = [0] * self.n_slots
-        coef = [None] * self.n_slots
-        for e, (i, j) in enumerate(topo.edges):
-            p = model.psi[e]
-            # slot 2e sends toward i (source j); slot 2e+1 toward j (source i)
-            src[2 * e] = j
-            coef[2 * e] = (p[0, 0], p[0, 1], p[1, 0], p[1, 1])
-            src[2 * e + 1] = i
-            coef[2 * e + 1] = (p[0, 0], p[1, 0], p[0, 1], p[1, 1])
-
-        in_slots = [[] for _ in range(topo.n_nodes)]
-        for e, (i, j) in enumerate(topo.edges):
-            in_slots[i].append(2 * e)
-            in_slots[j].append(2 * e + 1)
-        # incoming slots of the source node, excluding the slot's own edge
-        self.src_in = [
-            [s2 for s2 in in_slots[src[s]] if s2 // 2 != s // 2]
-            for s in range(self.n_slots)
-        ]
-        self.src = src
-        self.coef = coef
-        self.phi0 = [float(model.phi[i, 0]) for i in range(topo.n_nodes)]
-        self.phi1 = [float(model.phi[i, 1]) for i in range(topo.n_nodes)]
-
-        # vectorized layout for the synchronous kernel and node beliefs
-        self._src_arr = np.asarray(src, dtype=np.intp)
+        self.n_slots = 2 * topo.n_edges
+        edges = np.asarray(topo.edges, dtype=np.intp).reshape(-1, 2)
+        # slot 2e sends toward i (source j), slot 2e+1 toward j (source i);
+        # a slot's coefficients c[a, b] weigh source state b into target a
+        target = edges.ravel()
+        self._src_arr = edges[:, ::-1].ravel()
         self._opp_arr = np.arange(self.n_slots, dtype=np.intp) ^ 1
-        self._coef_arr = np.asarray(coef, dtype=float).reshape(self.n_slots, 2, 2)
-        order = [s for slots in in_slots for s in slots]
-        self._order = np.asarray(order, dtype=np.intp)
-        degrees = np.asarray([len(slots) for slots in in_slots], dtype=np.intp)
-        active = np.flatnonzero(degrees > 0)
+        psi = model.psi
+        self._coef_arr = np.concatenate((psi, psi.transpose(0, 2, 1)), axis=1).reshape(
+            self.n_slots, 2, 2)
+        # incoming slots grouped by target node, in slot order within a node
+        self._order = np.argsort(target, kind="stable")
+        degrees = np.bincount(target, minlength=topo.n_nodes)
+        active = np.flatnonzero(degrees)
         self._active_nodes = active
-        self._seg_starts = np.concatenate(([0], np.cumsum(degrees[active])[:-1]))
+        self._seg_starts = (np.cumsum(degrees) - degrees)[active]
         self._phi_active = model.phi[active]
         # position of each slot's source node among the active nodes
         self._src_pos = np.searchsorted(active, self._src_arr)
-        # layer k holds the k-th incoming slot of every node of degree > k,
-        # so node beliefs multiply messages in in_slots order
-        self._belief_layers = [
-            (np.flatnonzero(degrees > k),
-             np.asarray([slots[k] for slots in in_slots if len(slots) > k],
-                        dtype=np.intp))
-            for k in range(int(degrees.max(initial=0)))
-        ]
+
+    @cached_property
+    def _list_tables(self):
+        """Per-slot tables of the list traversal, built on its first run:
+        source node, coefficients, the source's incoming slots other than
+        the slot's own edge, and the two field columns.  The coefficients
+        stay numpy float64 scalars, so a 0/0 update gives NaN rather than
+        raising ``ZeroDivisionError``."""
+        order = self._order.tolist()
+        bounds = self._seg_starts.tolist() + [self.n_slots]
+        incoming = [order[a:b] for a, b in zip(bounds, bounds[1:])]
+        src_in = [[s2 for s2 in incoming[p] if s2 >> 1 != s >> 1]
+                  for s, p in enumerate(self._src_pos.tolist())]
+        coef = [tuple(c) for c in self._coef_arr.reshape(-1, 4)]
+        phi = self.model.phi
+        return (self._src_arr.tolist(), coef, src_in, phi[:, 0].tolist(),
+                phi[:, 1].tolist())
+
+    def _node_products(self, messages):
+        """Field times the product of incoming messages at every active
+        node, shape (R, n_active, 2), from messages shaped (R, n_slots, 2)."""
+        # np.take gathers along the slot axis several times faster than
+        # fancy indexing
+        prod = np.multiply.reduceat(
+            np.take(messages, self._order, axis=1), self._seg_starts, axis=1
+        )
+        prod *= self._phi_active
+        return prod
 
     @cached_property
     def forest(self) -> ForestSolver:
@@ -269,10 +274,7 @@ class Engine:
     def _sweep_sequential(self, init, pinned, bstar0, bstar1, schedule: Schedule):
         m0 = init[:, 0].tolist()
         m1 = init[:, 1].tolist()
-        src = self.src
-        coef = self.coef
-        src_in = self.src_in
-        phi0, phi1 = self.phi0, self.phi1
+        src, coef, src_in, phi0, phi1 = self._list_tables
         gamma = 0.0
         tol = schedule.tol
         floor = _FLOOR
@@ -370,12 +372,7 @@ class Engine:
         gamma = np.zeros(n_runs)
         plateau_ref = np.full(n_runs, np.inf)
         for sweep in range(1, schedule.max_sweeps + 1):
-            # np.take gathers along the slot axis several times faster than
-            # fancy indexing
-            prod = np.multiply.reduceat(
-                np.take(m, self._order, axis=1), self._seg_starts, axis=1
-            )
-            prod *= self._phi_active
+            prod = self._node_products(m)
             denom = np.take(m, opp, axis=1)
             if has_pins:
                 prod = np.where(pin_node, bstar_node, prod)
@@ -425,8 +422,7 @@ class Engine:
         """Normalized node beliefs of R runs, shape (R, n_nodes, 2), from
         messages shaped (R, n_slots, 2); pinned nodes carry ``bstar``."""
         b = np.repeat(self.model.phi[None], len(messages), axis=0)
-        for nodes, slots in self._belief_layers:
-            b[:, nodes] *= messages[:, slots]
+        b[:, self._active_nodes] = self._node_products(messages)
         b /= (b[..., 0] + b[..., 1])[..., None]
         return np.where(np.asarray(pinned, dtype=bool)[..., None], bstar, b)
 

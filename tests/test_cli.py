@@ -361,6 +361,12 @@ ERROR_BOUNDARY = [
     (_predict("models_int.json"), "predict: wrongly typed field 'models'"),
     (_predict("p1_null.json"), "predict: node 0: wrongly typed field ("),
     (_predict("j_list.json"), "predict: edge 0: wrongly typed field ("),
+    (lambda p: ["predict", "--model", p["fitted"], "--obs", p["obs"],
+                "--decoder", "bayes-median-step"],
+     "predict: decoder 'bayes-median-step' needs 'median-step' encoders: node 0 "
+     "has 'cdf'"),
+    (_predict("mixed.json"),
+     "predict: decoder 'inverse-cdf' needs 'cdf' encoders: node 1 has 'median-step'"),
     (lambda p: ["predict", "--model", p["fitted"], "--obs", p["tmp"] / "none.csv"],
      "predict: [Errno 2] No such file or directory"),
 ]

@@ -10,6 +10,7 @@ from latent_ising import (
     marginal_p1,
 )
 from latent_ising.coding import (
+    DECODER_KINDS,
     BatchDecoder,
     BayesMedianStep,
     BayesQuadCdf,
@@ -286,12 +287,6 @@ def test_encode_training_codes_with_ties(kind):
 
 # --- batched decoders ----------------------------------------------------------
 
-DECODER_ENCODERS = {
-    "inverse-cdf": "cdf",
-    "bayes-quad": "cdf",
-    "bayes-median-step": "median-step",
-    "bayes-mean-step": "median-step",
-}
 # equal counts take the shared rank table, unequal ones the per-node ranks
 SAMPLE_COUNTS = {"equal": (40, 40, 40, 40), "ragged": (5, 17, 40, 333)}
 
@@ -315,10 +310,10 @@ def _beliefs(counts):
 
 
 @pytest.mark.parametrize("layout", sorted(SAMPLE_COUNTS))
-@pytest.mark.parametrize("kind", sorted(DECODER_ENCODERS))
+@pytest.mark.parametrize("kind", sorted(DECODER_KINDS))
 def test_batch_decoder_matches_node_by_node(kind, layout):
     counts = SAMPLE_COUNTS[layout]
-    encoders = _encoders(DECODER_ENCODERS[kind], counts)
+    encoders = _encoders(DECODER_KINDS[kind], counts)
     b = _beliefs(counts)
     expected = np.column_stack(
         [build_decoder(kind, enc).decode(b[:, p]) for p, enc in enumerate(encoders)]
@@ -332,10 +327,10 @@ def test_batch_decoder_matches_node_by_node(kind, layout):
 
 
 @pytest.mark.parametrize("layout", sorted(SAMPLE_COUNTS))
-@pytest.mark.parametrize("kind", sorted(DECODER_ENCODERS))
+@pytest.mark.parametrize("kind", sorted(DECODER_KINDS))
 def test_batch_decoder_rejects_invalid_belief(kind, layout):
     counts = SAMPLE_COUNTS[layout]
-    dec = BatchDecoder(kind, _encoders(DECODER_ENCODERS[kind], counts))
+    dec = BatchDecoder(kind, _encoders(DECODER_KINDS[kind], counts))
     for bad in (np.nan, -0.1, 1.1):
         b = np.full((3, len(counts)), 0.5)
         b[1, 2] = bad
@@ -346,3 +341,17 @@ def test_batch_decoder_rejects_invalid_belief(kind, layout):
 def test_batch_decoder_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown decoder kind"):
         BatchDecoder("mode", _encoders("cdf", (10,)))
+
+
+@pytest.mark.parametrize("kind", sorted(DECODER_KINDS))
+def test_batch_decoder_rejects_encoders_it_does_not_invert(kind):
+    # each decoder inverts one encoder kind; the first node of another
+    # kind is named, whether every node or only one is at fault
+    own = DECODER_KINDS[kind]
+    other = "median-step" if own == "cdf" else "cdf"
+    wrong = _encoders(other, (10, 10))
+    mixed = _encoders(own, (10, 10, 10))[:2] + wrong[:1]
+    for encoders, node in ((wrong, 0), (mixed, 2)):
+        with pytest.raises(ValueError, match=f"^decoder '{kind}' needs '{own}' "
+                           f"encoders: node {node} has '{other}'$"):
+            BatchDecoder(kind, encoders)

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from collections import Counter
 
@@ -774,6 +775,119 @@ def test_reused_engine_matches_fresh_engines(graph):
     assert methods == ({"newton", "sweep"} if graph == "tree" else {"sweep"})
 
 
+def _with_isolated_node(rng, n, edges):
+    """Raw model on n nodes whose node n // 2 has no edge; ``edges`` are
+    on the other n - 1 nodes, numbered 0..n-2."""
+    iso = n // 2
+    edges = tuple((i + (i >= iso), j + (j >= iso)) for i, j in edges)
+    phi = rng.uniform(0.2, 1.0, size=(n, 2))
+    psi = rng.uniform(0.2, 2.0, size=(len(edges), 2, 2))
+    return _raw_model(GraphTopology(n, edges), phi, psi), iso
+
+
+def _product_oracle(engine, messages, pinned, bstar):
+    """Node beliefs by one field-times-messages product per node, run by
+    run, in reverse slot order: independent of the engine's layout."""
+    phi = engine.model.phi
+    targets = np.asarray(engine.model.topology.edges, dtype=np.intp).reshape(-1)
+    out = np.empty((len(messages),) + phi.shape)
+    for r, m in enumerate(messages):
+        for i in range(len(phi)):
+            b = phi[i].copy()
+            for s in np.flatnonzero(targets == i)[::-1]:
+                b = b * m[s]
+            out[r, i] = np.where(pinned[r, i], bstar[r, i], b / b.sum())
+    return out
+
+
+@pytest.mark.parametrize("graph", ["edgeless", "small-tree", "forest", "loopy"])
+def test_engine_on_an_edgeless_graph_and_an_isolated_node(graph):
+    # an empty slot layout and an isolated node: the node keeps its
+    # field on every path of Engine.run and in the belief read-out; an
+    # edgeless graph settles at its first sweep with (0, 2, 2) pair beliefs
+    rng = np.random.default_rng(28)
+    if graph == "edgeless":
+        model, iso = _raw_model(GraphTopology(4, ()), rng.uniform(0.2, 1.0, (4, 2)),
+                                np.empty((0, 2, 2))), 2
+    elif graph == "small-tree":
+        model, iso = _with_isolated_node(rng, 7, random_tree_edges(rng, 6))
+    elif graph == "forest":
+        model, iso = _with_isolated_node(rng, 31, random_tree_edges(rng, 30))
+    else:
+        edges = random_tree_edges(rng, 30) + [(0, 29), (3, 17)]
+        model, iso = _with_isolated_node(rng, 31, edges)
+    engine = Engine(model)
+    n, n_edges = model.topology.n_nodes, model.topology.n_edges
+    assert (engine.n_slots > _LIST_MAX_SLOTS) == (graph in ("forest", "loopy"))
+    field = model.phi[iso] / model.phi[iso].sum()
+    methods = set()
+    for constraints in (None, {0: np.array([0.3, 0.7])},
+                        {0: np.array([0.3, 0.7]), iso: np.array([1.0, 0.0])}):
+        state, report = engine.run(constraints)
+        assert report.converged
+        methods.add(report.method)
+        expected = (constraints or {}).get(iso, field)
+        np.testing.assert_array_equal(state.node_beliefs[iso], expected)
+        assert state.edge_beliefs.shape == (n_edges, 2, 2)
+        assert state.messages.shape == (n_edges, 2, 2)
+        if graph == "edgeless":
+            assert report.sweeps == 1 and report.residual == 0.0
+    assert methods == ({"sweep", "newton"} if graph == "forest" else {"sweep"})
+
+    n_runs = 3
+    pinned = np.zeros((n_runs, n), dtype=bool)
+    pinned[1, 0] = pinned[2, iso] = True
+    bstar = np.where(pinned[..., None], np.array([0.25, 0.75]), 0.0)
+    init = rng.uniform(0.1, 0.9, size=(n_runs, engine.n_slots, 2))
+    m, converged, sweeps, _ = engine.sweep(init, pinned, bstar, Schedule())
+    assert converged.all()
+    if graph == "edgeless":
+        np.testing.assert_array_equal(sweeps, 1)
+    beliefs = engine.node_beliefs(m, pinned, bstar)
+    np.testing.assert_array_equal(beliefs[:2, iso], [field, field])
+    np.testing.assert_array_equal(beliefs[2, iso], [0.25, 0.75])
+    np.testing.assert_array_max_ulp(beliefs, _product_oracle(engine, m, pinned, bstar),
+                                    maxulp=8)
+    assert engine.edge_beliefs(m, pinned, bstar).shape == (n_runs, n_edges, 2, 2)
+
+
+def test_node_beliefs_are_the_field_times_the_incoming_messages():
+    # R runs at once, against a per-node product on random loopy graphs
+    rng = np.random.default_rng(29)
+    for n in (3, 12, 40):
+        engine = Engine(_random_loopy_model(rng, n, alpha=0.8))
+        n_runs = 5
+        messages = rng.uniform(0.05, 0.95, size=(n_runs, engine.n_slots, 2))
+        pinned = rng.random((n_runs, n)) < 0.3
+        b1 = rng.uniform(size=(n_runs, n))
+        bstar = np.stack([1.0 - b1, b1], axis=-1)
+        np.testing.assert_array_max_ulp(
+            engine.node_beliefs(messages, pinned, bstar),
+            _product_oracle(engine, messages, pinned, bstar), maxulp=8)
+
+
+def test_list_tables_are_built_only_for_the_list_traversal():
+    # a city-sized grid runs every query on the kernel and never builds
+    # the list traversal's tables; a pair builds them on its first run
+    rng = np.random.default_rng(30)
+    city = _grid_model(rng, 12, alpha=0.3)
+    engine = city.engine
+    assert engine.n_slots > 10 * _LIST_MAX_SLOTS
+    n = city.topology.n_nodes
+    schedule = Schedule(max_sweeps=200)
+    mbp_run(city, {0: np.array([0.2, 0.8]), n - 1: np.array([0.6, 0.4])}, schedule)
+    bp_run(city, schedule)
+    deviation(city)
+    pinned, bstar = np.zeros((2, n), dtype=bool), np.zeros((2, n, 2))
+    m = engine.sweep(np.full((2, engine.n_slots, 2), 0.5), pinned, bstar, schedule)[0]
+    engine.edge_beliefs(m, pinned, bstar)
+    assert "_list_tables" not in vars(engine)
+    pair = _random_tree_model(rng, 2)
+    assert "_list_tables" not in vars(pair.engine)
+    mbp_run(pair, {0: np.array([0.2, 0.8])})
+    assert "_list_tables" in vars(pair.engine)
+
+
 def test_forest_solver_rejects_cycles():
     model = assemble(GraphTopology(3, ((0, 1), (1, 2), (2, 0))),
                      [PairwiseMarginal(0.5, 0.5, 0.3)] * 3, 1.0)
@@ -850,6 +964,27 @@ def test_predict_contextless_and_extremes():
 
     preds = predict(model, state, decoder="bayes-quad", observed={})
     assert preds[0] == model.encoders[0].cdf.quantile(bayes_quad_level(1.0))
+
+
+def test_model_decoder_rejects_a_mismatched_encoder_kind():
+    # a cdf model has no median-step decoders, and a model that mixes
+    # encoder kinds none that fit every node
+    model = _fitted_pair_model()
+    for kind in ("bayes-median-step", "bayes-mean-step"):
+        with pytest.raises(ValueError, match=f"decoder '{kind}' needs 'median-step' "
+                           "encoders: node 0 has 'cdf'"):
+            model.decoder(kind)
+    state, _ = bp_run(model)
+    with pytest.raises(ValueError, match="needs 'median-step' encoders"):
+        predict(model, state, decoder="bayes-median-step")
+    samples = np.random.default_rng(12).uniform(size=501)
+    mixed = dataclasses.replace(
+        model, encoders=(model.encoders[0], build_encoder("median-step", samples)))
+    for kind in ("inverse-cdf", "bayes-quad"):
+        with pytest.raises(ValueError, match=f"decoder '{kind}' needs 'cdf' "
+                           "encoders: node 1 has 'median-step'"):
+            mixed.decoder(kind)
+    assert model.decoder("inverse-cdf") is model.decoder("inverse-cdf")
 
 
 # --- graph cutting -----------------------------------------------------------
