@@ -191,7 +191,7 @@ def _cmd_predict(args):
 
 
 def _cmd_decimate(args):
-    from .harness import decimate
+    from .harness import DECIMATION_COLUMNS, decimate
 
     if args.replicates < 1:
         raise ValueError(f"--replicates must be at least 1, got {args.replicates}")
@@ -211,12 +211,7 @@ def _cmd_decimate(args):
         knn_k=args.knn_k,
     )
     with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=["bin_low", "bin_high", "predictor", "mean_l1",
-                        "bias", "n_points", "nonconverged_ratio",
-                        "mean_iterations", "max_residual"],
-        )
+        writer = csv.DictWriter(fh, fieldnames=DECIMATION_COLUMNS)
         writer.writeheader()
         writer.writerows(result.table())
     print(f"wrote decimation metrics -> {args.out}")

@@ -6,12 +6,12 @@ nodes first), and after every reveal asks each predictor for the still
 hidden coordinates.  The errors and solver work of every replicate at
 every step are kept in arrays, and one table row per reveal-fraction bin
 and predictor is read from them: mean absolute error and bias against the
-exact conditional median.  On a
-forest-shaped model the latent beliefs are the exact mirror fixed point
-(``ForestSolver``); on a loopy one they come from message passing, and
-runs that did not converge are kept (beliefs at the last sweep).  Either
-way unconverged runs show up in a dedicated ratio column, next to the mean
-work per run (Newton steps or sweeps) and the largest final residual.
+exact conditional median.  The latent beliefs come from each model's
+``Engine.solve``: the exact mirror fixed point on a forest, message passing
+on a loopy graph, where runs that did not converge are kept (beliefs at
+the last sweep).  Either way unconverged runs show up in a dedicated ratio
+column, next to the mean work per run (Newton steps or sweeps) and the
+largest final residual.
 """
 
 from __future__ import annotations
@@ -31,12 +31,13 @@ from .copula_lab import (
 )
 from .ising import LatentIsingModel, assemble, check_alpha
 from .pairwise_em import PairSamples, em_fit, em_iterates
-from .propagation import Schedule, impose_observations, reveal_tilt
+from .propagation import Schedule, impose_observations
 
 __all__ = [
     "fit_from_copula",
     "decimate",
     "DecimationResult",
+    "DECIMATION_COLUMNS",
     "LATENT_PREDICTORS",
     "BASELINE_PREDICTORS",
 ]
@@ -61,6 +62,10 @@ _PATIENCE = 2
 
 # width of the reveal-fraction bins of the decimation table
 BIN_WIDTH = 0.05
+# the decimation table's columns, in the order of its rows and of its CSV
+DECIMATION_COLUMNS = ("bin_low", "bin_high", "predictor", "mean_l1", "bias",
+                      "n_points", "nonconverged_ratio", "mean_iterations",
+                      "max_residual")
 
 
 def _pair_prediction_loss(ui, uj, xi, xj, cdf_i, cdf_j, m) -> float:
@@ -188,23 +193,19 @@ def decimate(
     n falls in the bin floor((k / n) / ``BIN_WIDTH``), the last bin
     absorbing k / n = 1.  Identical seeds give bit-identical results.
 
-    A forest-shaped model is solved exactly by ``model.engine.forest``
-    (the ``ForestSolver`` its queries share): each replicate warm-starts
-    from its tilts of the previous reveal step, and the newly revealed
-    node starts at ``reveal_tilt`` of its target and its previous belief.
-    A loopy model runs ``model.engine.sweep`` under
-    ``schedule`` (default ``EXPERIMENT_SCHEDULE``), warm-started from the
-    replicate's previous messages; ``schedule`` applies to loopy models
-    only.  Runs that fail to settle are kept and reported through the
+    Each model answers every step in one ``model.engine.solve`` call,
+    warm-started from its previous step, under ``schedule`` (default
+    ``EXPERIMENT_SCHEDULE``; a forest is solved exactly and ignores it).
+    Runs that fail to settle are kept and reported through the
     nonconverged ratio, and the table gives the mean Newton steps or
     sweeps per run and the largest final residual (max |b − b*| over the
     observed nodes, or the last message change).
 
     All replicates are stepped together: at reveal step k every replicate
-    has exactly k nodes observed, so the solver or the sweep kernel, the
-    exact predictor and the decoders each run once per step on arrays with
-    a leading replicate axis, each latent predictor's decode in one call of
-    its model's batched decoder.  Every replicate stops at its own
+    has exactly k nodes observed, so ``Engine.solve``, the exact predictor
+    and the decoders each run once per step on arrays with a leading
+    replicate axis, each latent predictor's decode in one call of its
+    model's batched decoder.  Every replicate stops at its own
     convergence, so the table is the one a replicate-by-replicate loop of
     one-run calls produces.
     """
@@ -241,12 +242,14 @@ def decimate(
         elif name in BASELINE_PREDICTORS:
             if name == "knn" and history is None:
                 raise ValueError("knn predictor needs a history dataset")
+            if name == "knn" and history.values.shape[1] != truth.n_nodes:
+                raise ValueError(f"knn history width {history.values.shape[1]} differs "
+                                 f"from the truth model's {truth.n_nodes} nodes")
             plans.append((name, None, None))
         else:
             raise ValueError(f"unknown predictor: {name!r}")
 
-    if schedule is None:
-        schedule = EXPERIMENT_SCHEDULE
+    schedule = schedule or EXPERIMENT_SCHEDULE
 
     n = truth.n_nodes
     always = list(truth.always_observed)
@@ -265,12 +268,7 @@ def decimate(
         imposed = impose_observations(model, {i: outcomes[:, i] for i in range(n)})
         vec = np.stack([imposed[i].T for i in range(n)], axis=1)
         bstar[key] = vec / vec.sum(axis=-1, keepdims=True)
-    # each model's warm start: tilts on a forest, messages on a loopy graph
-    warm = {
-        key: None if model.topology.is_forest
-        else np.full((replicates, model.engine.n_slots, 2), 0.5)
-        for key, model in needed_models.items()
-    }
+    warm = dict.fromkeys(needed_models)  # each model's Engine.solve state
     medians = median_predictor(truth, range(n))
     median_row = np.array([medians[i] for i in range(n)])
 
@@ -289,9 +287,7 @@ def decimate(
     beliefs = {}
 
     for col, step in enumerate(steps):
-        revealed = ~observed
         observed[rows, reveal[:, :step]] = True
-        revealed &= observed
         hidden = ~observed
         if step:
             obs_idx = np.sort(reveal[:, :step], axis=1)
@@ -303,23 +299,13 @@ def decimate(
 
         runs = {}  # key -> (converged, steps or sweeps, residual)
         for key, model in needed_models.items():
-            engine, start = model.engine, warm[key]
-            if model.topology.is_forest:
-                if start is not None:
-                    start = np.where(
-                        revealed, reveal_tilt(bstar[key][..., 1], beliefs[key]), start
-                    )
-                b, warm[key], *runs[key] = engine.forest.solve(
-                    observed, bstar[key], start)
-            else:
-                warm[key], *runs[key] = engine.sweep(start, observed, bstar[key],
-                                                     schedule)
-                b = engine.node_beliefs(warm[key], observed, bstar[key])
-            beliefs[key] = b[..., 1]
+            beliefs[key], warm[key], *runs[key] = model.engine.solve(
+                observed, bstar[key], warm[key], schedule)
 
         for name, key, dec_kind in plans:
             if key is not None:
-                preds = needed_models[key].decoder(dec_kind).decode(beliefs[key])
+                decoder = needed_models[key].decoder(dec_kind)
+                preds = decoder.decode(beliefs[key][..., 1])
                 converged, work[name][:, col], resid[name][:, col] = runs[key]
                 nonconv[name][:, col] = ~converged
             elif name == "exact":
@@ -350,17 +336,17 @@ def decimate(
         n_points = replicates * sum(n - steps[col] for col in cols)
         n_runs = replicates * len(cols)
         for name in sorted(predictors):
-            table.append({
-                "bin_low": round(bin_idx * BIN_WIDTH, 10),
-                "bin_high": round((bin_idx + 1) * BIN_WIDTH, 10),
-                "predictor": name,
-                "mean_l1": _running_sum(abs_sums[name][:, cols]) / n_points,
-                "bias": _running_sum(signed_sums[name][:, cols]) / n_points,
-                "n_points": n_points,
-                "nonconverged_ratio": int(nonconv[name][:, cols].sum()) / n_runs,
-                "mean_iterations": int(work[name][:, cols].sum()) / n_runs,
-                "max_residual": float(resid[name][:, cols].max()),
-            })
+            table.append(dict(zip(DECIMATION_COLUMNS, (
+                round(bin_idx * BIN_WIDTH, 10),
+                round((bin_idx + 1) * BIN_WIDTH, 10),
+                name,
+                _running_sum(abs_sums[name][:, cols]) / n_points,
+                _running_sum(signed_sums[name][:, cols]) / n_points,
+                n_points,
+                int(nonconv[name][:, cols].sum()) / n_runs,
+                int(work[name][:, cols].sum()) / n_runs,
+                float(resid[name][:, cols].max()),
+            ))))
     return DecimationResult(replicates=replicates, seed=seed, rows=table)
 
 

@@ -5,29 +5,34 @@ node whose belief is pinned to b* does not relay information: it reflects
 each factor's message back as b* / m, so at a fixed point its belief equals
 b* exactly while the rest of the graph re-balances around it.
 
+An engine answers in two ways, and it alone picks the solver.
+``Engine.solve`` answers R runs at once and resumes them from the state it
+returned on the last call: it is how ``harness.decimate`` answers each
+reveal step.  ``Engine.run`` answers one query (``bp_run``, ``mbp_run``,
+the temperature probe).
+
 On a forest the fixed point is reached exactly, without sweeps:
 ``ForestSolver`` finds the observed nodes' tilts by Newton's method on the
 dual of the I-projection, one exact two-pass BP per iteration, batched
-over independent runs.  ``harness.decimate`` solves forest models with it,
-and ``Engine.run`` sends it every constrained run on a forest of more than
+over independent runs.  ``Engine.solve`` sends it every forest batch, and
+``Engine.run`` every constrained run on a forest of more than
 ``_LIST_MAX_SLOTS`` directed (factor, endpoint) message slots.
 
-Every other run sweeps, with a traversal picked from the size of the
-graph.  On small graphs (at most ``_LIST_MAX_SLOTS`` slots) a pure-Python
-sweep updates the slots in place in fixed order; above that, the
-vectorized synchronous kernel updates every slot at once, and it can step
-many independent runs on one model together (``Engine.sweep``).  Both have
-the same fixed points and read one slot layout, numpy arrays built from the
-edge list; the list traversal derives its Python tables from them on its
-first run.  Convergence is declared when the largest message change over a
-sweep drops below the tolerance.  Non-convergence is reported, never
-raised.
+Every other run sweeps.  ``Engine.run`` picks the traversal from the size
+of the graph: on small graphs (at most ``_LIST_MAX_SLOTS`` slots) a
+pure-Python sweep updates the slots in place in fixed order; above that,
+the vectorized synchronous kernel (``Engine.sweep``) updates every slot at
+once.  The kernel can step many independent runs on one model together,
+and ``Engine.solve`` always uses it.  Both traversals have the same fixed
+points and read one slot layout, numpy arrays built from the edge list;
+the list traversal derives its Python tables from them on its first run.
+Convergence is declared when the largest message change over a sweep
+drops below the tolerance.  Non-convergence is reported, never raised.
 
 Each model keeps one ``Engine`` (``LatentIsingModel.engine``) and each
-engine one ``ForestSolver`` (``Engine.forest``), both built on first use.
-``bp_run``, ``mbp_run``, the temperature probe and ``harness.decimate``
-all run through them, so a stream of queries on one model pays the graph
-set-up once; a run writes nothing to either.
+engine one ``ForestSolver`` (``Engine.forest``), both built on first use,
+so a stream of queries on one model pays the graph set-up once; a run
+writes nothing to either.
 """
 
 from __future__ import annotations
@@ -41,8 +46,15 @@ from .ising import GraphTopology, LatentIsingModel
 
 _FLOOR = 1e-12  # divisor floor for mirror ratios against vanishing messages
 # Largest graph, in message slots, that Engine.run sweeps with the list
-# traversal; the vectorized kernel is faster above it (measured crossover
-# near 50 slots on random trees with 30 % of the nodes pinned).
+# traversal; the vectorized kernel is faster above it.  Constrained runs on
+# larger forests go to ForestSolver, so the choice now falls on loopy
+# graphs and unconstrained runs.  On random loopy graphs (a tree plus one
+# chord, 5 seeds, alpha 0.3, one run from 0.5, none or 30 % of the nodes
+# pinned; 2-core host) the list traversal took 0.16-0.18 ms against the
+# kernel's 0.33-0.39 ms at 22 slots, 0.29-0.38 against 0.25-0.36 ms at 46
+# and 0.68-0.96 against 0.30-0.44 ms at 86.  The crossover lies between 22
+# and 46 slots; 50 stays because no benchmark workload lies between 22 and
+# 50 slots (the pair has 2, the tree 198, the city 476).
 _LIST_MAX_SLOTS = 50
 
 # ForestSolver: a run stops once every observed belief is within
@@ -202,6 +214,48 @@ class Engine:
         with a cycle raises ``ValueError``."""
         return ForestSolver(self.model)
 
+    def solve(self, observed, bstar, warm=None, schedule: Schedule | None = None):
+        """Beliefs of R independent constrained runs on this model at once.
+
+        ``observed`` (R, n_nodes) marks each run's observed nodes and
+        ``bstar`` (R, n_nodes, 2) holds their normalized imposed beliefs.
+        On a forest ``forest`` solves the runs exactly; on a loopy graph
+        they ``sweep`` under ``schedule`` (default ``Schedule()``).  Returns
+        (beliefs, warm, converged, work, residual): node beliefs
+        (R, n_nodes, 2), a state to pass back as ``warm`` on the next call,
+        and per run whether it converged, its Newton steps or sweeps and
+        its final residual.  ``warm`` resumes where the last call stopped:
+        on a forest each observed node keeps its tilt, and a node observed
+        since then starts at ``reveal_tilt`` of its target and its last
+        belief (the first call starts from ``ForestSolver.solve``'s
+        default); on a loopy graph the runs go on from their last messages
+        (the first call from 0.5 everywhere).  Every row ends as it would
+        alone.
+
+        ``run``, one query at a time, chooses otherwise on a forest.  An
+        unconstrained run sweeps: on the benchmark's 198-slot tree, with
+        engine and solver reused, one calibration probe took 410 µs on
+        sweeps against 630 µs through the solver at alpha 1, 434 against
+        615 µs at 0.5 and 160 against 624 µs at 0.  The solve alone, without
+        pair beliefs and messages, took about 300 µs, but every probe is a
+        new model, whose solver would be built again (0.42-0.47 ms).  A
+        constrained run starts from zero tilts: on the benchmark's 12 tree
+        queries a ``reveal_tilt`` start took 111 ms and 122 Newton steps in
+        all, against 61 ms and 114.
+        """
+        observed = np.asarray(observed, dtype=bool)
+        bstar = np.asarray(bstar, dtype=float)
+        if not self.model.topology.is_forest:
+            if warm is None:
+                warm = np.full((len(observed), self.n_slots, 2), 0.5)
+            m, *report = self.sweep(warm, observed, bstar, schedule or Schedule())
+            return (self.node_beliefs(m, observed, bstar), m, *report)
+        if warm is not None:  # the tilts to start from
+            seen, belief, theta = warm
+            warm = np.where(observed & ~seen, reveal_tilt(bstar[..., 1], belief), theta)
+        beliefs, theta, *report = self.forest.solve(observed, bstar, warm)
+        return (beliefs, (observed.copy(), beliefs[..., 1], theta), *report)
+
     def run(self, constraints=None, schedule: Schedule | None = None,
             init_messages=None):
         """Run to a fixed point; returns (BeliefState, ConvergenceReport).
@@ -211,7 +265,10 @@ class Engine:
         ``ForestSolver`` from zero tilts; ``schedule`` and ``init_messages``
         are validated but do not steer it.  Every other run is ``sweep``
         with a single run.  Constraint keys must be node ids in 0..N-1, and
-        each value two finite, nonnegative weights with a positive sum.
+        each value two finite, nonnegative weights with a positive sum;
+        ``init_messages`` must be finite and nonnegative, with a positive
+        sum in every slot.  Bad input raises ``ValueError`` before any
+        sweep or solve.
         """
         schedule = schedule or Schedule()
         constraints = dict(constraints or {})
@@ -232,6 +289,8 @@ class Engine:
             init = np.full((self.n_slots, 2), 0.5)
         else:
             init = np.asarray(init_messages, dtype=float).reshape(self.n_slots, 2)
+        if not np.isfinite(init).all():
+            raise ValueError("invalid initial messages")
 
         if self.n_slots <= _LIST_MAX_SLOTS:
             m, converged, sweeps, residual = self._sweep_sequential(

@@ -10,6 +10,7 @@ import pytest
 
 import latent_ising
 from latent_ising.cli import main
+from latent_ising.harness import DECIMATION_COLUMNS
 from latent_ising.model_io import load_models, model_to_dict, save_models
 
 
@@ -246,6 +247,8 @@ def bad_inputs(pair_files, tmp_path_factory):
     model = model_to_dict(load_models(fitted)[0])
     save_models([load_models(fitted)[0]] * 2, tmp / "two.npz")
     (tmp / "nan_history.csv").write_text("0,1\n0.1,0.2\nnan,0.3\n")
+    (tmp / "narrow_history.csv").write_text("0\n0.1\n0.3\n")
+    (tmp / "wide_history.csv").write_text("0,1,2\n0.1,0.2,0.3\n0.4,0.5,0.6\n")
     (tmp / "both_ways.csv").write_text("edge,x_i,x_j\n0-1,0.1,0.2\n1-0,0.3,0.4\n")
     (tmp / "self_loop.csv").write_text("edge,x_i,x_j\n1-1,0.1,0.2\n")
     (tmp / "gap.csv").write_text(
@@ -311,6 +314,10 @@ ERROR_BOUNDARY = [
      "has 'cdf'"),
     (_decimate("--predictors", "knn", "--history", "nan_history.csv"),
      "decimate: dataset row 3: non-finite value in ['nan', '0.3']"),
+    (_decimate("--predictors", "inverse-cdf,knn", "--history", "narrow_history.csv"),
+     "decimate: knn history width 1 differs from the truth model's 2 nodes"),
+    (_decimate("--predictors", "inverse-cdf,knn", "--history", "wide_history.csv"),
+     "decimate: knn history width 3 differs from the truth model's 2 nodes"),
     (_decimate("--predictors", "exact", truth="t_edges_int.json"),
      "decimate: wrongly typed field ("),
     (_decimate("--predictors", "exact", truth="t_marginal_int.json"),
@@ -396,6 +403,18 @@ def test_bad_input_exits_with_status_one_and_no_traceback():
     )
     assert proc.returncode == 1
     assert proc.stderr == "gen-model: interior connectivity must be at least 2\n"
+
+
+def test_decimate_csv_has_the_table_columns_in_order(pair_files, tmp_path):
+    truth, fitted, _ = pair_files
+    out = tmp_path / "dec.csv"
+    run("decimate", "--truth", truth, "--fitted", fitted,
+        "--predictors", "inverse-cdf,exact", "--replicates", "3", "--out", out)
+    with open(out, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert tuple(reader.fieldnames) == DECIMATION_COLUMNS
+    assert rows and all(tuple(row) == DECIMATION_COLUMNS for row in rows)
 
 
 def test_plotdata_names_missing_columns(tmp_path):

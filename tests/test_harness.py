@@ -20,7 +20,9 @@ from latent_ising import (
     sample,
 )
 
+from latent_ising.harness import DECIMATION_COLUMNS
 from latent_ising.model_io import model_from_dict, model_to_dict
+from latent_ising.propagation import Engine, ForestSolver
 
 from oracles import reference_decimation, reference_fit
 
@@ -121,6 +123,31 @@ def test_knn_requires_history(pair_setup):
     truth, fitted_cdf, _, _ = pair_setup
     with pytest.raises(ValueError, match="history"):
         decimate(truth, fitted_cdf, ["knn"], replicates=2, seed=0)
+
+
+def test_knn_history_must_have_one_column_per_node(monkeypatch, pair_setup):
+    # a history narrower or wider than the truth fails before any sampling,
+    # naming both counts, rather than indexing out of bounds in knn
+    from latent_ising import harness
+
+    def no_sample(*args, **kwargs):
+        raise AssertionError("sampled before the history was checked")
+
+    truth, fitted_cdf, _, history = pair_setup
+    monkeypatch.setattr(harness, "sample", no_sample)
+    for values in (history.values[:, :1], np.hstack([history.values] * 2)):
+        width = values.shape[1]
+        with pytest.raises(ValueError, match=f"knn history width {width} differs "
+                                             "from the truth model's 2 nodes"):
+            decimate(truth, fitted_cdf, ["inverse-cdf", "knn"], replicates=2, seed=0,
+                     history=dataclasses.replace(history, values=values))
+
+
+def test_decimation_rows_follow_the_column_tuple(pair_setup):
+    truth, fitted_cdf, _, _ = pair_setup
+    rows = decimate(truth, fitted_cdf, ["inverse-cdf", "exact"], replicates=3,
+                    seed=0).table()
+    assert rows and all(tuple(row) == DECIMATION_COLUMNS for row in rows)
 
 
 def test_two_models_of_one_encoder_kind_rejected(pair_setup):
@@ -377,3 +404,40 @@ def test_decimation_table_unchanged_after_queries(graph):
     assert decimate(truth, model, **kwargs).table() == rows
     mbp_run(model, impose_observations(model, {3: float(x[0, 3])}))
     assert decimate(truth, model, **kwargs).table() == rows
+
+
+def test_decimation_reaches_the_solvers_only_through_engine_solve(
+        monkeypatch, fitted_pair_of_models):
+    # each model answers each reveal step in one Engine.solve call, and the
+    # solver, the sweep kernel and node beliefs run only inside it
+    truth, fitted = fitted_pair_of_models
+    kwargs = dict(predictors=["inverse-cdf", "bayes-mean-step", "exact"],
+                  replicates=5, seed=22)
+    rows = decimate(truth, fitted, **kwargs).table()
+    calls = []
+    inside = [False]
+    solve = Engine.solve
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.model)
+        inside[0] = True
+        try:
+            return solve(self, *args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def only_inside(original):
+        def wrapper(*args, **kwargs):
+            assert inside[0], f"{original.__qualname__} reached outside Engine.solve"
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Engine, "solve", counted)
+    for owner, name in ((ForestSolver, "solve"), (Engine, "sweep"),
+                        (Engine, "node_beliefs")):
+        monkeypatch.setattr(owner, name, only_inside(getattr(owner, name)))
+    assert decimate(truth, fitted, **kwargs).table() == rows
+    steps = truth.n_nodes - len(truth.always_observed)
+    assert len(calls) == len(fitted) * steps
+    for model in fitted:
+        assert sum(m is model for m in calls) == steps

@@ -23,7 +23,7 @@ from latent_ising import (
 )
 from latent_ising.alpha_calibration import deviation
 from latent_ising.coding import bayes_quad_level
-from latent_ising.propagation import _LIST_MAX_SLOTS
+from latent_ising.propagation import _LIST_MAX_SLOTS, reveal_tilt
 
 from oracles import (
     ipf_fit,
@@ -698,6 +698,92 @@ def test_run_on_forests_validates_its_inputs(monkeypatch):
                                    else {0: b})
                 with pytest.raises(ValueError, match="invalid constraint at node 0"):
                     mbp_run(run_engine.model, {0: b})
+    # so does a non-finite initial message, constrained or not: on the pair
+    # the list traversal would overwrite it, the solver would ignore it and
+    # the kernel would sweep its NaN to the budget
+    for run_engine in engines:
+        model = run_engine.model
+        pins = constraints if run_engine is engine else {0: np.array([0.3, 0.7])}
+        for value in (np.nan, np.inf):
+            init = np.full((run_engine.n_slots, 2), 0.5)
+            init[-1, 1] = value
+            for call in (lambda: run_engine.run(None, init_messages=init),
+                         lambda: run_engine.run(pins, init_messages=init),
+                         lambda: bp_run(model, init_messages=init),
+                         lambda: mbp_run(model, pins, init_messages=init)):
+                with pytest.raises(ValueError, match="invalid initial messages"):
+                    call()
+
+
+def _reveal_steps(rng, n_runs, n):
+    """Two cumulative reveal steps of R runs in random node orders, as
+    boolean masks, and normalized b* with some hard 0/1 targets."""
+    order = np.argsort(rng.random((n_runs, n)), axis=1)
+    rows = np.arange(n_runs)[:, None]
+    masks = []
+    for k in (n // 4, n // 2):
+        observed = np.zeros((n_runs, n), dtype=bool)
+        observed[rows, order[:, :k]] = True
+        masks.append(observed)
+    return masks, _random_evidence(rng, n_runs, n)[1]
+
+
+def _solve_models(rng):
+    forest = _random_forest_model(rng, 70, alpha=0.8)
+    assert 2 * forest.topology.n_edges > _LIST_MAX_SLOTS
+    return {"forest": forest, "grid": _grid_model(rng, 5, alpha=0.9)}
+
+
+def _spread(out):
+    """``Engine.solve``'s outputs as a flat tuple of arrays: a forest's
+    state (observed, beliefs, tilts) spread out, a grid's messages kept."""
+    beliefs, state, *report = out
+    return (beliefs, *(state if isinstance(state, tuple) else (state,)), *report)
+
+
+@pytest.mark.parametrize("graph", ["forest", "grid"])
+def test_engine_solve_rows_equal_single_runs(graph):
+    # a batch of R runs, cold and then warm, ends row by row exactly where
+    # each run ends alone
+    rng = np.random.default_rng(27)
+    engine = Engine(_solve_models(rng)[graph])
+    n_runs, n = 10, engine.model.topology.n_nodes
+    (first, second), bstar = _reveal_steps(rng, n_runs, n)
+    schedule = Schedule(max_sweeps=60, tol=1e-9)
+    cold = engine.solve(first, bstar, None, schedule)
+    warm = engine.solve(second, bstar, cold[1], schedule)
+    for r in range(n_runs):
+        one = slice(r, r + 1)
+        cold1 = engine.solve(first[one], bstar[one], None, schedule)
+        warm1 = engine.solve(second[one], bstar[one], cold1[1], schedule)
+        for batch, single in ((cold, cold1), (warm, warm1)):
+            for a, b in zip(_spread(batch), _spread(single), strict=True):
+                np.testing.assert_array_equal(a[one], b)
+
+
+def test_engine_solve_forest_warm_step_starts_at_reveal_tilt():
+    # on a forest the state carries the tilts, and a node revealed since the
+    # last call starts at reveal_tilt of its target and its last belief
+    rng = np.random.default_rng(28)
+    engine = Engine(_solve_models(rng)["forest"])
+    (first, second), bstar = _reveal_steps(rng, 8, engine.model.topology.n_nodes)
+    cold = engine.solve(first, bstar)
+    expected = engine.forest.solve(first, bstar)
+    np.testing.assert_array_equal(cold[0], expected[0])
+    for a, b in zip(cold[2:], expected[2:]):
+        np.testing.assert_array_equal(a, b)
+    seen, belief, theta = cold[1]
+    np.testing.assert_array_equal(seen, first)
+    np.testing.assert_array_equal(belief, cold[0][..., 1])
+    np.testing.assert_array_equal(theta, expected[1])
+    start = np.where(second & ~first, reveal_tilt(bstar[..., 1], belief), theta)
+    expected = engine.forest.solve(second, bstar, start)
+    warm = engine.solve(second, bstar, cold[1])
+    np.testing.assert_array_equal(warm[0], expected[0])
+    np.testing.assert_array_equal(warm[1][2], expected[1])
+    for a, b in zip(warm[2:], expected[2:]):
+        np.testing.assert_array_equal(a, b)
+    assert warm[2].all()
 
 
 def test_model_keeps_one_engine_and_one_solver(monkeypatch):
