@@ -128,8 +128,7 @@ def _cmd_fit(args):
             raise ValueError(f"node {i} has no observations")
         encoders.append(build_encoder(args.encoder, np.concatenate(chunks)))
     marginals = [
-        em_fit(PairSamples(*pairs[edge]), encoders[edge[0]], encoders[edge[1]],
-               max_iter=args.max_iter, tol=args.tol)
+        em_fit(PairSamples(*pairs[edge]), encoders[edge[0]], encoders[edge[1]])
         for edge in edges
     ]
     model = assemble(topology, marginals, args.alpha, encoders=encoders)
@@ -275,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSV rows: edge id 'i-j', x_i, x_j")
     p.add_argument("--encoder", default="cdf", choices=sorted(ENCODER_KINDS))
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iter", type=int, default=500)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fit)
 

@@ -8,6 +8,11 @@ pairwise-ratio form: per edge a coupling table
 and per node the field phi_i = (1 - p_i1, p_i1).  At alpha = 1 on trees
 this reproduces the joint distribution with the given marginals exactly;
 alpha < 1 tempers the couplings to compensate overcounting on loops.
+
+``GraphTopology`` holds the graph's one traversal: a breadth-first layout
+built on first use and kept with the topology.  The forest test, the exact
+forest solver (``propagation.ForestSolver``) and the convergence check by
+graph cutting (``propagation.graph_cut_check``) all read it.
 """
 
 from __future__ import annotations
@@ -37,14 +42,12 @@ class GraphTopology:
 
     n_nodes: int
     edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         edges = tuple((int(i), int(j)) for i, j in self.edges)
         object.__setattr__(self, "edges", edges)
         seen = set()
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_nodes)]
-        for e, (i, j) in enumerate(edges):
+        for i, j in edges:
             if i == j:
                 raise ValueError(f"self-loop at node {i}")
             if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
@@ -53,34 +56,61 @@ class GraphTopology:
             if key in seen:
                 raise ValueError(f"duplicate edge ({i},{j})")
             seen.add(key)
-            adj[i].append((e, 0))  # (edge index, side of this node)
-            adj[j].append((e, 1))
-        object.__setattr__(self, "adjacency", tuple(tuple(a) for a in adj))
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
 
     def degree(self, i: int) -> int:
-        return len(self.adjacency[i])
+        return sum(i in edge for edge in self.edges)
+
+    @cached_property
+    def layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Breadth-first layout ``(order, parent, parent_edge, depth)``,
+        computed once per topology and read-only.
+
+        Each component is searched from its lowest node, neighbours taken
+        in edge order, and ``order`` is then stably sorted by depth: each
+        level is contiguous and grouped by parent, in the order of the
+        level above.  ``parent``, ``parent_edge`` and ``depth`` are indexed
+        by node; a component's root has parent and parent edge -1 and
+        depth 0.  On a graph with cycles the parents span a forest and the
+        edges that close cycles are nobody's parent edge.
+        """
+        n = self.n_nodes
+        neighbours: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for e, (i, j) in enumerate(self.edges):
+            neighbours[i].append((e, j))
+            neighbours[j].append((e, i))
+        order, seen = [], [False] * n
+        parent, parent_edge, depth = [-1] * n, [-1] * n, [0] * n
+        for r in range(n):
+            if seen[r]:
+                continue
+            seen[r] = True
+            head = len(order)
+            order.append(r)
+            while head < len(order):
+                u = order[head]
+                head += 1
+                for e, v in neighbours[u]:
+                    if not seen[v]:
+                        seen[v] = True
+                        parent[v], parent_edge[v], depth[v] = u, e, depth[u] + 1
+                        order.append(v)
+        order.sort(key=depth.__getitem__)
+        arrays = tuple(np.asarray(a, dtype=np.intp)
+                       for a in (order, parent, parent_edge, depth))
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
     @cached_property
     def is_forest(self) -> bool:
-        """True when the graph has no cycle; computed once per topology."""
-        root = list(range(self.n_nodes))
-
-        def find(v):
-            while root[v] != v:
-                root[v] = root[root[v]]
-                v = root[v]
-            return v
-
-        for i, j in self.edges:
-            a, b = find(i), find(j)
-            if a == b:
-                return False
-            root[a] = b
-        return True
+        """True when the graph has no cycle: a spanning forest of the
+        layout holds every edge.  Computed once per topology."""
+        n_roots = int(np.count_nonzero(self.layout[1] < 0))
+        return self.n_edges == self.n_nodes - n_roots
 
     def factors(self) -> list[tuple[int, ...]]:
         """Edges viewed as pairwise factors of a factor graph."""

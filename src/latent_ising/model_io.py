@@ -284,8 +284,10 @@ def save_dataset_csv(dataset: Dataset, path):
 def load_dataset_csv(path) -> Dataset:
     """A header row naming the nodes, then one row of values per outcome.
 
-    A malformed or non-finite cell or a row of the wrong width raises
-    ``ValueError`` naming its line.
+    The header must read ``0,1,...,n-1``, as ``save_dataset_csv`` writes
+    it: column k holds node k.  Any other header, a malformed or
+    non-finite cell, or a row of the wrong width raises ``ValueError``
+    (naming the header or the line).
     """
     from .copula_lab import Dataset
 
@@ -295,6 +297,9 @@ def load_dataset_csv(path) -> Dataset:
         header = next(reader, None)
         if not header:
             raise ValueError("dataset CSV has no header row")
+        if header != [str(k) for k in range(len(header))]:
+            raise ValueError(f"dataset header {','.join(header)!r} is not the "
+                             f"node ids 0..{len(header) - 1} in order")
         for line, row in enumerate(reader, start=2):
             if not row:
                 continue

@@ -14,7 +14,10 @@ the temperature probe).
 On a forest the fixed point is reached exactly, without sweeps:
 ``ForestSolver`` finds the observed nodes' tilts by Newton's method on the
 dual of the I-projection, one exact two-pass BP per iteration, batched
-over independent runs.  ``Engine.solve`` sends it every forest batch, and
+over independent runs.  Its levels come from the topology's breadth-first
+layout (``GraphTopology.layout``), the graph's one traversal, which the
+forest test and ``graph_cut_check`` read too.  ``Engine.solve`` sends it
+every forest batch, and
 ``Engine.run`` every constrained run on a forest of more than
 ``_LIST_MAX_SLOTS`` directed (factor, endpoint) message slots.
 
@@ -37,6 +40,7 @@ writes nothing to either.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -513,7 +517,10 @@ class ForestSolver:
 
     * one evaluation is an exact two-pass BP, level by level in
       breadth-first order, on arrays shaped (R, level); it gives node
-      beliefs, (child, parent) pair beliefs and log Z;
+      beliefs, (child, parent) pair beliefs and log Z.  The levels, the
+      parents and the (child, parent) orientation of psi are read from
+      the topology's layout (``GraphTopology.layout``), computed once
+      per topology and shared by every model on it;
     * the direction d = Σ_OO⁻¹ g uses the precision J of the spin
       covariance, which is tree-sparse (Rue & Held 2005, ch. 2): for an
       edge, J_ij = −c_ij / (v_i v_j − c_ij²), and on the diagonal
@@ -536,51 +543,27 @@ class ForestSolver:
         if not topo.is_forest:
             raise ValueError("ForestSolver needs a graph without cycles")
         n = topo.n_nodes
-        neighbours = [
-            [(e, topo.edges[e][1 - side]) for e, side in topo.adjacency[u]]
-            for u in range(n)
-        ]
-        # breadth-first from the lowest node of every component, then a
-        # stable sort by depth: each level is contiguous and grouped by
-        # parent, in the order of the level above
-        order, seen = [], [False] * n
-        parent, parent_edge, depth = [-1] * n, [-1] * n, [0] * n
-        for r in range(n):
-            if seen[r]:
-                continue
-            seen[r] = True
-            head = len(order)
-            order.append(r)
-            while head < len(order):
-                u = order[head]
-                head += 1
-                for e, v in neighbours[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        parent[v], parent_edge[v], depth[v] = u, e, depth[u] + 1
-                        order.append(v)
-        order.sort(key=depth.__getitem__)
-
-        nr = self._n_roots = depth.count(0)
-        self._perm = np.asarray(order, dtype=np.intp)   # position -> node
-        self._inv = np.argsort(self._perm)              # node -> position
-        self._phi0 = model.phi[self._perm, 0]
-        self._phi1 = model.phi[self._perm, 1]
+        order, parent, parent_edge, depth = topo.layout
+        nr = self._n_roots = int(np.count_nonzero(depth == 0))
+        self._perm = order                       # position -> node
+        self._inv = np.argsort(order)            # node -> position
+        self._phi0 = model.phi[order, 0]
+        self._phi1 = model.phi[order, 1]
+        child = order[nr:]
         # parent position of every non-root position, nondecreasing
-        self._par = self._inv[np.asarray([parent[v] for v in order[nr:]],
-                                         dtype=np.intp)]
+        self._par = self._inv[parent[child]]
         self._starts, self._heads = _runs(self._par)
-        # psi oriented (child, parent) at every non-root position; every
-        # edge's child position, and whether the child is its second end
-        psi = np.ones((n, 2, 2))
+        # every edge's child position, whether the child is its second end,
+        # and psi oriented (child, parent) at every non-root position
+        edge = parent_edge[child]
         self._edge_pos = np.empty(topo.n_edges, dtype=np.intp)
+        self._edge_pos[edge] = np.arange(nr, n)
         self._edge_flip = np.empty(topo.n_edges, dtype=bool)
-        for k in range(nr, n):
-            e = parent_edge[order[k]]
-            self._edge_pos[e] = k
-            self._edge_flip[e] = topo.edges[e][1] == order[k]
-            psi[k] = model.psi[e].T if self._edge_flip[e] else model.psi[e]
-        depths = np.asarray(depth, dtype=np.intp)[self._perm]
+        self._edge_flip[edge] = np.reshape(topo.edges, (-1, 2))[edge, 1] == child
+        psi = np.ones((n, 2, 2))
+        psi[nr:] = np.where(self._edge_flip[edge, None, None],
+                            model.psi[edge].swapaxes(1, 2), model.psi[edge])
+        depths = depth[order]
         bounds = np.searchsorted(depths, np.arange(depths.max(initial=0) + 2))
         # per level below the roots: slice, parents, reduceat groups, psi
         self._levels = [
@@ -943,51 +926,37 @@ def graph_cut_check(factors, constrained) -> str:
     Each constrained variable is cloned into one leaf per incident factor.
     If every connected component of the cut graph is a tree containing at
     most two clones, the mirror updates are guaranteed to converge
-    (``guaranteed``); otherwise nothing is claimed (``unknown``).
+    (``guaranteed``); otherwise nothing is claimed (``unknown``).  The cut
+    graph is a ``GraphTopology``: its forest test and the roots of its
+    breadth-first layout answer both questions.  A factor that names a
+    member twice gives ``unknown``.
     """
     if isinstance(factors, GraphTopology):
         factors = factors.factors()
     factors = [tuple(f) for f in factors]
     constrained = set(constrained)
+    if any(len(set(members)) < len(members) for members in factors):
+        return "unknown"  # a member named twice closes a cycle with its factor
 
-    parent: dict = {}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            return True
-        return False
-
-    clones = []
-
-    def add_vertex(v):
-        if v not in parent:
-            parent[v] = v
-
+    # vertices of the cut graph: factors, free variables and clones
+    index: dict = {}
+    edges, clones = [], []
     for f_idx, members in enumerate(factors):
-        fv = ("f", f_idx)
-        add_vertex(fv)
+        fv = index.setdefault(("f", f_idx), len(index))
         for i in members:
+            key = ("c", i, f_idx) if i in constrained else ("v", i)
+            vv = index.setdefault(key, len(index))
             if i in constrained:
-                vv = ("c", i, f_idx)
                 clones.append(vv)
-            else:
-                vv = ("v", i)
-            add_vertex(vv)
-            if not union(fv, vv):
-                return "unknown"  # a cycle survives the cutting
+            edges.append((fv, vv))
+    cut = GraphTopology(len(index), tuple(edges))
+    if not cut.is_forest:
+        return "unknown"  # a cycle survives the cutting
 
-    clone_count: dict = {}
-    for v in clones:
-        r = find(v)
-        clone_count[r] = clone_count.get(r, 0) + 1
-    if any(c > 2 for c in clone_count.values()):
-        return "unknown"
-    return "guaranteed"
+    order, parent, _, _ = cut.layout
+    root = list(range(cut.n_nodes))
+    for v in order.tolist():  # parents come before their children
+        if parent[v] >= 0:
+            root[v] = root[parent[v]]
+    clone_count = Counter(root[v] for v in clones)
+    return "unknown" if any(c > 2 for c in clone_count.values()) else "guaranteed"

@@ -244,3 +244,58 @@ def reference_fit(columns, edges, encoder_kind, em_select, max_iter=500,
                     break
         out.append(best.p_ij11)
     return out
+
+
+def _union_find(vertices=()):
+    """``find`` and ``union`` over a dict of roots; ``union`` returns False
+    when both ends already share a root."""
+    root = {v: v for v in vertices}
+
+    def find(v):
+        root.setdefault(v, v)
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return False
+        root[ra] = rb
+        return True
+
+    return find, union
+
+
+def is_forest_union_find(n_nodes: int, edges) -> bool:
+    """True when no edge joins two nodes already connected."""
+    _, union = _union_find(range(n_nodes))
+    return all(union(i, j) for i, j in edges)
+
+
+def graph_cut_check_union_find(factors, constrained) -> str:
+    """The graph-cutting convergence check by union-find: clone each
+    constrained variable into one leaf per incident factor, give up at the
+    first edge that closes a cycle, then count the clones per component."""
+    constrained = set(constrained)
+    find, union = _union_find()
+    clones = []
+    for f_idx, members in enumerate(factors):
+        fv = ("f", f_idx)
+        find(fv)
+        for i in members:
+            if i in constrained:
+                vv = ("c", i, f_idx)
+                clones.append(vv)
+            else:
+                vv = ("v", i)
+            if not union(fv, vv):
+                return "unknown"  # a cycle survives the cutting
+    clone_count: dict = {}
+    for v in clones:
+        r = find(v)
+        clone_count[r] = clone_count.get(r, 0) + 1
+    if any(c > 2 for c in clone_count.values()):
+        return "unknown"
+    return "guaranteed"

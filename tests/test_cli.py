@@ -249,6 +249,7 @@ def bad_inputs(pair_files, tmp_path_factory):
     (tmp / "nan_history.csv").write_text("0,1\n0.1,0.2\nnan,0.3\n")
     (tmp / "narrow_history.csv").write_text("0\n0.1\n0.3\n")
     (tmp / "wide_history.csv").write_text("0,1,2\n0.1,0.2,0.3\n0.4,0.5,0.6\n")
+    (tmp / "swapped_history.csv").write_text("1,0\n0.1,0.2\n0.4,0.5\n")
     (tmp / "both_ways.csv").write_text("edge,x_i,x_j\n0-1,0.1,0.2\n1-0,0.3,0.4\n")
     (tmp / "self_loop.csv").write_text("edge,x_i,x_j\n1-1,0.1,0.2\n")
     (tmp / "gap.csv").write_text(
@@ -318,6 +319,8 @@ ERROR_BOUNDARY = [
      "decimate: knn history width 1 differs from the truth model's 2 nodes"),
     (_decimate("--predictors", "inverse-cdf,knn", "--history", "wide_history.csv"),
      "decimate: knn history width 3 differs from the truth model's 2 nodes"),
+    (_decimate("--predictors", "knn", "--history", "swapped_history.csv"),
+     "decimate: dataset header '1,0' is not the node ids 0..1 in order"),
     (_decimate("--predictors", "exact", truth="t_edges_int.json"),
      "decimate: wrongly typed field ("),
     (_decimate("--predictors", "exact", truth="t_marginal_int.json"),

@@ -3,7 +3,23 @@ import pytest
 
 from latent_ising import GraphTopology, PairwiseMarginal, assemble, exact_joint
 
-from oracles import node_marginal, pair_marginal, random_consistent_marginals, random_tree_edges
+from oracles import (
+    is_forest_union_find,
+    node_marginal,
+    pair_marginal,
+    random_consistent_marginals,
+    random_tree_edges,
+)
+
+
+def _random_graph(rng, n):
+    """Random edges without duplicates: isolated nodes, several components
+    and cycles all occur."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    m = int(rng.integers(0, min(len(pairs), n + 2) + 1))
+    picked = rng.permutation(len(pairs))[:m]
+    edges = [pairs[k] if rng.random() < 0.5 else pairs[k][::-1] for k in picked]
+    return GraphTopology(n, tuple(edges))
 
 
 def test_topology_validation():
@@ -15,7 +31,65 @@ def test_topology_validation():
         GraphTopology(2, ((0, 2),))
     topo = GraphTopology(3, ((0, 1), (1, 2)))
     assert topo.degree(1) == 2
+    assert topo.degree(0) == 1
     assert topo.factors() == [(0, 1), (1, 2)]
+
+
+def test_is_forest_matches_union_find():
+    rng = np.random.default_rng(40)
+    seen = set()
+    for _ in range(1500):
+        topo = _random_graph(rng, int(rng.integers(1, 12)))
+        expected = is_forest_union_find(topo.n_nodes, topo.edges)
+        assert topo.is_forest == expected, topo
+        seen.add(expected)
+    assert seen == {True, False}
+    assert GraphTopology(0, ()).is_forest
+
+
+def test_layout_is_breadth_first_from_each_components_lowest_node():
+    rng = np.random.default_rng(41)
+    for _ in range(400):
+        topo = _random_graph(rng, int(rng.integers(1, 12)))
+        n = topo.n_nodes
+        order, parent, parent_edge, depth = topo.layout
+        assert sorted(order.tolist()) == list(range(n))
+        pos = np.argsort(order)
+        # levels are contiguous, in order of depth
+        assert np.all(np.diff(depth[order]) >= 0)
+        # one root per component, its lowest node
+        component = {}
+        for r in order[depth[order] == 0].tolist():
+            stack = [r]
+            while stack:
+                u = stack.pop()
+                if u not in component:
+                    component[u] = r
+                    stack.extend(v for i, j in topo.edges if u in (i, j)
+                                 for v in (i, j) if v != u)
+        assert len(component) == n
+        assert all(component[r] == r for r in order[depth[order] == 0].tolist())
+        assert all(r <= v for v, r in component.items())
+        roots = parent < 0
+        np.testing.assert_array_equal(roots, depth == 0)
+        np.testing.assert_array_equal(roots, parent_edge < 0)
+        # every edge spans at most one level, and a parent edge exactly one
+        for e, (i, j) in enumerate(topo.edges):
+            assert abs(depth[i] - depth[j]) <= 1
+        for v in np.flatnonzero(~roots).tolist():
+            assert set(topo.edges[parent_edge[v]]) == {v, parent[v]}
+            assert depth[v] == depth[parent[v]] + 1
+            # discovered by its first neighbour one level up in the order
+            ups = [u for i, j in topo.edges if v in (i, j)
+                   for u in (i, j) if u != v and depth[u] == depth[v] - 1]
+            assert parent[v] == min(ups, key=pos.__getitem__)
+        # each level grouped by parent in the order of the level above,
+        # each parent's children in edge order
+        child = order[roots.sum():]
+        key = np.column_stack([pos[parent[child]], parent_edge[child]])
+        assert all(tuple(a) < tuple(b) for a, b in zip(key[:-1], key[1:]))
+        for a in topo.layout:
+            assert not a.flags.writeable
 
 
 def test_alpha_zero_gives_unit_couplings():

@@ -264,6 +264,8 @@ def test_dataset_csv_roundtrip(small_fit, tmp_path):
     ("0,1\n0.1,0.2,0.5\n", "dataset row 2: 3 values, expected 2"),
     ("0,1\n", "dataset CSV has no outcomes"),
     ("", "dataset CSV has no header row"),
+    ("1,0\n0.1,0.2\n", "dataset header '1,0' is not the node ids 0..1 in order"),
+    ("a,b\n0.1,0.2\n", "dataset header 'a,b' is not the node ids 0..1 in order"),
 ])
 def test_dataset_csv_rejects_malformed_rows(tmp_path, text, message):
     path = tmp_path / "data.csv"

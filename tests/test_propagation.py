@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import warnings
 from collections import Counter
 
@@ -26,6 +27,7 @@ from latent_ising.coding import bayes_quad_level
 from latent_ising.propagation import _LIST_MAX_SLOTS, reveal_tilt
 
 from oracles import (
+    graph_cut_check_union_find,
     ipf_fit,
     node_marginal,
     pair_marginal,
@@ -982,6 +984,65 @@ def test_forest_solver_rejects_cycles():
         ForestSolver(model)
 
 
+def test_forest_solver_orients_psi_as_a_node_loop_does():
+    """The solver's edge positions, edge flips and (child, parent) psi
+    tables against a per-node loop over the topology's layout."""
+    rng = np.random.default_rng(46)
+    for _ in range(60):
+        n = int(rng.integers(1, 12))
+        edges = tuple(e if rng.random() < 0.5 else e[::-1]
+                      for e in random_tree_edges(rng, n) if rng.random() < 0.7)
+        phi = rng.uniform(0.1, 0.9, (n, 2))
+        psi = rng.uniform(0.05, 1.0, (len(edges), 2, 2))
+        model = _raw_model(GraphTopology(n, edges), phi / phi.sum(1, keepdims=True), psi)
+        solver = ForestSolver(model)
+        order, parent, parent_edge, _ = model.topology.layout
+        nr = solver._n_roots
+        edge_pos = np.empty(len(edges), dtype=np.intp)
+        flip = np.empty(len(edges), dtype=bool)
+        oriented = np.ones((n, 2, 2))
+        for k in range(nr, n):
+            v, e = order[k], parent_edge[order[k]]
+            edge_pos[e] = k
+            flip[e] = edges[e][1] == v
+            oriented[k] = psi[e].T if flip[e] else psi[e]
+        np.testing.assert_array_equal(solver._edge_pos, edge_pos)
+        np.testing.assert_array_equal(solver._edge_flip, flip)
+        np.testing.assert_array_equal(solver._par, np.argsort(order)[parent[order[nr:]]])
+        for lo, hi, _, _, _, p00, p01, p10, p11 in solver._levels:
+            np.testing.assert_array_equal(np.stack([p00, p01, p10, p11], axis=-1),
+                                          oriented[lo:hi].reshape(-1, 4))
+
+
+def test_topology_computes_its_layout_once(monkeypatch):
+    """The forest test, every ForestSolver and the models ``with_alpha``
+    makes share one breadth-first layout."""
+    calls = []
+    compute = GraphTopology.layout.func
+
+    def counted(topo):
+        calls.append(topo)
+        return compute(topo)
+
+    layout = functools.cached_property(counted)
+    layout.__set_name__(GraphTopology, "layout")
+    monkeypatch.setattr(GraphTopology, "layout", layout)
+    rng = np.random.default_rng(44)
+    model = _random_tree_model(rng, 12)
+    topo = model.topology
+    assert topo.is_forest and calls == [topo]
+    solver = ForestSolver(model)
+    hotter = model.with_alpha(0.5)
+    assert hotter.topology is topo
+    assert hotter.engine.forest._perm is topo.layout[0] is solver._perm
+    observed = np.zeros((1, 12), dtype=bool)
+    observed[0, 3] = True
+    bstar = np.full((1, 12, 2), 0.5)
+    model.engine.solve(observed, bstar)
+    mbp_run(hotter, {3: np.array([0.4, 0.6])})
+    assert calls == [topo]
+
+
 # --- observation handling ----------------------------------------------------
 
 def _fitted_pair_model():
@@ -1092,6 +1153,25 @@ def test_graph_cut_three_clones_in_one_component():
     topo = GraphTopology(4, ((0, 1), (0, 2), (0, 3)))
     assert graph_cut_check(topo, {1, 2}) == "guaranteed"
     assert graph_cut_check(topo, {1, 2, 3}) == "unknown"
+
+
+def test_graph_cut_matches_union_find_oracle():
+    rng = np.random.default_rng(45)
+    seen = Counter()
+    for _ in range(3000):
+        n_vars = int(rng.integers(1, 9))
+        factors = [tuple(rng.integers(0, n_vars, int(rng.integers(0, 5))).tolist())
+                   for _ in range(int(rng.integers(0, 7)))]
+        constrained = set(np.flatnonzero(rng.random(n_vars) < rng.random()).tolist())
+        expected = graph_cut_check_union_find(factors, constrained)
+        assert graph_cut_check(factors, constrained) == expected, (factors, constrained)
+        repeated = any(len(set(f)) < len(f) for f in factors)
+        seen[expected, repeated, bool(constrained)] += 1
+    # guaranteed and unknown answers, factors naming a member twice, and
+    # empty constraint sets all occur
+    assert {("guaranteed", False, False), ("guaranteed", False, True),
+            ("unknown", True, False), ("unknown", True, True),
+            ("unknown", False, True)} <= set(seen)
 
 
 def test_graph_cut_higher_arity_factor_graph():
