@@ -36,7 +36,6 @@ _EXPORTS = {  # module: the public names it provides
         "CopulaModel",
         "Dataset",
         "EmpiricalMarginal",
-        "exact_predictor",
         "generate_copula",
         "grid_city",
         "knn_predictor",

@@ -7,6 +7,14 @@ drawn in the latent Gaussian space and pushed through Phi and the marginal
 quantile; the same construction gives an exact conditional-median
 predictor, which is the reference every other predictor is measured
 against.
+
+On a forest the predictor conditions through the precision, which is
+tree-sparse there: its conditional means come from the same tree
+elimination (``ising.tree_solve``) as the forest solver's Newton
+direction, in O(n) per observation set.  A loopy truth conditions through
+a k-by-k solve with the correlation matrix.  Either way the marginal
+quantile, the costly step, runs only on the hidden entries whose mean
+moved since the previous call (``exact_predictor_batch``'s ``warm``).
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import numpy as np
 from scipy.special import betainc, betaincinv, ndtr, ndtri
 
 from .ecdf import EmpiricalCdf
-from .ising import GraphTopology
+from .ising import GraphTopology, tree_solve
 
 __all__ = [
     "BetaMarginal",
@@ -27,9 +35,9 @@ __all__ = [
     "Dataset",
     "generate_copula",
     "sample",
-    "exact_predictor",
     "exact_predictor_batch",
     "knn_predictor",
+    "latent_values",
     "median_predictor",
     "pair_topology",
     "regular_tree_topology",
@@ -37,6 +45,8 @@ __all__ = [
 ]
 
 DEFAULT_CORR_RANGE = ((-1.0, -0.2), (0.2, 1.0))
+# the open unit interval's end points, where a CDF value is lifted
+_U_MIN, _U_MAX = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -128,6 +138,24 @@ class CopulaModel:
         group_of = np.array([ids.setdefault(m, len(ids)) for m in self.marginals],
                             dtype=np.intp)
         return group_of, tuple(ids)
+
+    @cached_property
+    def tree_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """The off-diagonal entries of D⁻¹P on a forest, computed once per
+        model: at every non-root breadth-first position c with parent p
+        (``GraphTopology.levels``), P[p, c] / P[p, p] and P[c, p] / P[c, c].
+
+        P = S Q S is the precision of the standardised latent vector, with
+        Q the model's precision and S = diag(Q⁻¹)^½ the standard
+        deviations, and D its diagonal; P is built from Q and not by
+        inverting the correlation, so it keeps the graph's support."""
+        levels = self.topology.levels
+        sd = np.sqrt(np.diag(np.linalg.inv(self.precision)))
+        prec = self.precision * np.outer(sd, sd)
+        child = levels.order[levels.n_roots:]
+        parent = levels.order[levels.parent]
+        diag = np.diag(prec)
+        return prec[parent, child] / diag[parent], prec[child, parent] / diag[child]
 
 
 @dataclass(frozen=True)
@@ -258,53 +286,138 @@ def _grouped_apply(model: CopulaModel, nodes, values, method):
     return out
 
 
-def exact_predictor(model: CopulaModel, observed: dict) -> dict:
-    """Conditional median given the observations, exact under the model.
-
-    Observations are lifted to Gaussian space, the conditional mean is the
-    usual Gaussian formula, and the result is pushed back through the
-    marginal quantile.  Monotonicity of the transforms makes this the
-    conditional median of every unobserved coordinate.  Observed nodes are
-    returned as-is.
-    """
-    if not observed:
-        raise ValueError("no observations")
-    obs_idx = np.array(sorted(observed), dtype=int)
-    obs_vals = np.array([observed[int(i)] for i in obs_idx], dtype=float)
-    row = exact_predictor_batch(model, obs_idx[None], obs_vals[None])[0]
-    return {i: float(v) for i, v in enumerate(row)}
+def latent_values(model: CopulaModel, obs_idx, obs_vals) -> np.ndarray:
+    """The lift of the observations ``obs_vals`` of the nodes ``obs_idx``
+    (same shape) that ``exact_predictor_batch`` applies: ndtri(F_i(x)), F_i
+    the marginal CDF of node i.  A CDF of exactly 0 or 1 is moved to the
+    nearest double inside (0, 1) first: a beta quantile can round onto the
+    edge of its support (x = 1 under beta(0.7, 0.3) about once in 10^5
+    draws), and an infinite lift would turn the whole row's conditional
+    means into NaN."""
+    u = _grouped_apply(model, np.asarray(obs_idx), np.asarray(obs_vals, dtype=float),
+                       "cdf")
+    return ndtri(np.clip(u, _U_MIN, _U_MAX))
 
 
-def exact_predictor_batch(model: CopulaModel, obs_idx, obs_vals) -> np.ndarray:
-    """``exact_predictor`` for R observation sets of one size at once.
+def exact_predictor_batch(model: CopulaModel, obs_idx, obs_vals, latent=None,
+                          warm=None):
+    """Exact conditional medians for R observation sets of one size at once.
 
     Row r observes the distinct nodes ``obs_idx[r]``, in ascending order,
-    at the values ``obs_vals[r]`` (both shaped (R, k) with k >= 1).  Returns
-    an (R, n_nodes) array holding the observed values at observed nodes and
-    the exact conditional median everywhere else; every row costs one
-    k-by-k solve, batched over the rows.
+    at the values ``obs_vals[r]`` (both shaped (R, k), 1 <= k <= n_nodes).
+    The observations are lifted to the latent Gaussian space, the hidden
+    coordinates take their Gaussian conditional mean, and that is pushed
+    back through Phi and the marginal quantile; monotone transforms make
+    it the conditional median of every hidden coordinate.  ``latent``
+    (R, k), when given, holds the lifted observations (``latent_values``),
+    which are otherwise computed here.
+
+    On a forest the means come from the tree-sparse precision:
+    mu_H = −P_HH⁻¹ P_HO y_O (Rue & Held 2005, ch. 2), with P the precision
+    of the standardised latent vector (``CopulaModel.tree_weights``),
+    solved row-scaled by its diagonal with one ``ising.tree_solve``, O(n)
+    per row.  On a graph with cycles each row makes one k-by-k solve with
+    the correlation matrix, batched over the rows.
+
+    Returns ``(predictions, state)``: predictions (R, n_nodes) hold the
+    observed values at observed nodes and the conditional medians
+    everywhere else.  Pass ``state`` back as ``warm`` on the next call, as
+    with ``Engine.solve``: the quantile then runs only on the hidden
+    entries whose mean differs from the state's, and every other entry is
+    copied from it, so a warm call returns what a cold one does, bit for
+    bit.  Out-of-range or repeated node ids, rows out of ascending order,
+    k outside 1..n_nodes, and shapes that do not match raise
+    ``ValueError``.
     """
-    obs_idx = np.asarray(obs_idx, dtype=np.intp)
+    n = model.n_nodes
+    obs_idx = np.asarray(obs_idx)
     obs_vals = np.asarray(obs_vals, dtype=float)
+    _check_observations(n, obs_idx, obs_vals, latent, warm)
+    obs_idx = obs_idx.astype(np.intp, copy=False)
     n_rows, k = obs_idx.shape
-    if k == 0:
-        raise ValueError("no observations")
     rows = np.arange(n_rows)[:, None]
-    out = np.empty((n_rows, model.n_nodes))
+    out = np.empty((n_rows, n))
     out[rows, obs_idx] = obs_vals
-    if k == model.n_nodes:
-        return out
-    hidden = np.ones(out.shape, dtype=bool)
-    hidden[rows, obs_idx] = False
-    free = np.nonzero(hidden)[1].reshape(n_rows, -1)  # ascending per row
-    y_obs = ndtri(_grouped_apply(model, obs_idx, obs_vals, "cdf"))
-    corr = model.correlation
-    weights = np.linalg.solve(
-        corr[obs_idx[:, :, None], obs_idx[:, None, :]], y_obs[..., None]
-    )
-    u_mean = ndtr((corr[free[:, :, None], obs_idx[:, None, :]] @ weights)[..., 0])
-    out[rows, free] = _grouped_apply(model, free, u_mean, "quantile")
-    return out
+    mean = np.full((n_rows, n), np.nan)
+    if k < n:
+        if latent is None:
+            latent = latent_values(model, obs_idx, obs_vals)
+        hidden = np.ones(out.shape, dtype=bool)
+        hidden[rows, obs_idx] = False
+        if model.topology.is_forest:
+            mean = np.where(hidden, _forest_means(model, obs_idx, latent), np.nan)
+        else:
+            free = np.nonzero(hidden)[1].reshape(n_rows, -1)  # ascending per row
+            corr = model.correlation
+            weights = np.linalg.solve(
+                corr[obs_idx[:, :, None], obs_idx[:, None, :]],
+                np.asarray(latent, dtype=float)[..., None],
+            )
+            mean[rows, free] = (corr[free[:, :, None], obs_idx[:, None, :]]
+                                @ weights)[..., 0]
+        moved = hidden
+        if warm is not None:
+            last_mean, last_out = warm
+            kept = mean == last_mean  # never where either is NaN (observed)
+            out = np.where(kept, last_out, out)
+            moved = hidden & ~kept
+        flat = np.flatnonzero(moved)
+        out.reshape(-1)[flat] = _grouped_apply(
+            model, flat % n, ndtr(mean.reshape(-1)[flat]), "quantile")
+    return out, (mean, out)
+
+
+def _check_observations(n, obs_idx, obs_vals, latent, warm):
+    """Raise ``ValueError`` on observation sets that
+    ``exact_predictor_batch`` does not take."""
+    if obs_idx.ndim != 2:
+        raise ValueError(f"observed node ids must be an (R, k) array, "
+                         f"got shape {obs_idx.shape}")
+    n_rows, k = obs_idx.shape
+    if not 1 <= k <= n:
+        raise ValueError(f"observation count {k} outside 1..{n}")
+    if not np.issubdtype(obs_idx.dtype, np.integer):
+        raise ValueError(f"observed node ids must be integers, got {obs_idx.dtype}")
+    if obs_vals.shape != obs_idx.shape:
+        raise ValueError(f"observed values shaped {obs_vals.shape}, "
+                         f"node ids {obs_idx.shape}")
+    if latent is not None and np.shape(latent) != obs_idx.shape:
+        raise ValueError(f"latent values shaped {np.shape(latent)}, "
+                         f"node ids {obs_idx.shape}")
+    if obs_idx.size and (obs_idx.min() < 0 or obs_idx.max() >= n):
+        raise ValueError(f"observed node id outside 0..{n - 1}")
+    step = np.diff(obs_idx, axis=1)
+    if (step <= 0).any():
+        if (step == 0).any():
+            raise ValueError("repeated observed node id in a row")
+        raise ValueError("observed node ids not ascending in a row")
+    if warm is not None and (len(warm) != 2 or any(np.shape(a) != (n_rows, n)
+                                                   for a in warm)):
+        raise ValueError(f"warm state must be two ({n_rows}, {n}) arrays")
+
+
+def _forest_means(model: CopulaModel, obs_idx, latent) -> np.ndarray:
+    """Latent conditional means (R, n_nodes) on a forest, meaningful at the
+    hidden nodes, of the rows observing ``obs_idx`` at the lifted values
+    ``latent``.  Row-scaled by P's diagonal D, the system reads
+    (I + W_HH) mu_H = −W_HO y_O, with W = D⁻¹P − I tree-sparse."""
+    levels = model.topology.levels
+    nr, par = levels.n_roots, levels.parent
+    up, down = model.tree_weights
+    rows = np.arange(len(obs_idx))[:, None]
+    at = levels.position[obs_idx]
+    hid = np.ones((len(obs_idx), model.n_nodes), dtype=bool)
+    hid[rows, at] = False
+    y = np.zeros(hid.shape)
+    y[rows, at] = latent
+    wy = np.zeros_like(y)
+    wy[:, nr:] = down * np.take(y, par, axis=1)
+    if levels.heads.size:
+        wy[:, levels.heads] += np.add.reduceat(up * y[:, nr:], levels.starts, axis=1)
+    hid_edge = hid[:, nr:] & np.take(hid, par, axis=1)
+    mean = tree_solve(levels, np.ones(hid.shape), np.where(hid_edge, up, 0.0),
+                      np.where(hid_edge, down, 0.0), np.where(hid, -wy, 0.0))
+    return np.take(mean, levels.position, axis=1)
 
 
 def knn_predictor(history, observed: dict, k: int = 50) -> dict:

@@ -26,6 +26,7 @@ from .copula_lab import (
     Dataset,
     exact_predictor_batch,
     knn_predictor,
+    latent_values,
     median_predictor,
     sample,
 )
@@ -205,9 +206,11 @@ def decimate(
     has exactly k nodes observed, so ``Engine.solve``, the exact predictor
     and the decoders each run once per step on arrays with a leading
     replicate axis, each latent predictor's decode in one call of its
-    model's batched decoder.  Every replicate stops at its own
-    convergence, so the table is the one a replicate-by-replicate loop of
-    one-run calls produces.
+    model's batched decoder.  The revealed outcomes are lifted to the
+    truth's latent space once, and the exact predictor resumes from its
+    previous step's state, so only the means a reveal moved pay for a
+    quantile.  Every replicate stops at its own convergence, so the table
+    is the one a replicate-by-replicate loop of one-run calls produces.
     """
     if isinstance(fitted, LatentIsingModel):
         fitted = [fitted]
@@ -260,6 +263,12 @@ def decimate(
     reveal[:, :len(always)] = always
     for rep in range(replicates):
         reveal[rep, len(always):] = order_rng.permutation(rest)
+    # the exact predictor's lift of every outcome a replicate reveals before
+    # its last step (its last node is never observed)
+    lifted = reveal[:, :n - 1]
+    latent = np.full(outcomes.shape, np.nan)
+    np.put_along_axis(latent, lifted, latent_values(
+        truth, lifted, np.take_along_axis(outcomes, lifted, axis=1)), axis=1)
 
     # every node's encoded outcome, normalized as Engine.run normalizes
     # constraints; a replicate pins the entries of the nodes it has revealed
@@ -269,6 +278,7 @@ def decimate(
         vec = np.stack([imposed[i].T for i in range(n)], axis=1)
         bstar[key] = vec / vec.sum(axis=-1, keepdims=True)
     warm = dict.fromkeys(needed_models)  # each model's Engine.solve state
+    exact_warm = None  # the exact predictor's state
     medians = median_predictor(truth, range(n))
     median_row = np.array([medians[i] for i in range(n)])
 
@@ -291,9 +301,9 @@ def decimate(
         hidden = ~observed
         if step:
             obs_idx = np.sort(reveal[:, :step], axis=1)
-            optimal = exact_predictor_batch(
-                truth, obs_idx, np.take_along_axis(outcomes, obs_idx, axis=1)
-            )
+            optimal, exact_warm = exact_predictor_batch(
+                truth, obs_idx, np.take_along_axis(outcomes, obs_idx, axis=1),
+                np.take_along_axis(latent, obs_idx, axis=1), exact_warm)
         else:
             optimal = np.broadcast_to(median_row, outcomes.shape)
 

@@ -12,13 +12,17 @@ alpha < 1 tempers the couplings to compensate overcounting on loops.
 ``GraphTopology`` holds the graph's one traversal: a breadth-first layout
 built on first use and kept with the topology.  The forest test, the exact
 forest solver (``propagation.ForestSolver``) and the convergence check by
-graph cutting (``propagation.graph_cut_check``) all read it.
+graph cutting (``propagation.graph_cut_check``) all read it.  Its level
+arrays (``GraphTopology.levels``) drive the one tree elimination,
+``tree_solve``, which the forest solver's Newton direction and the copula
+lab's exact predictor (``copula_lab.exact_predictor_batch``) share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +35,7 @@ __all__ = [
     "assemble",
     "check_alpha",
     "exact_joint",
+    "tree_solve",
 ]
 
 _MARGIN_TOL = 1e-9
@@ -60,9 +65,6 @@ class GraphTopology:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def degree(self, i: int) -> int:
-        return sum(i in edge for edge in self.edges)
 
     @cached_property
     def layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -106,6 +108,31 @@ class GraphTopology:
         return arrays
 
     @cached_property
+    def levels(self) -> "Levels":
+        """The layout's breadth-first positions grouped by level, computed
+        once per topology (see ``Levels``)."""
+        order, parent, _, depth = self.layout
+        position = np.argsort(order)
+        n_roots = int(np.count_nonzero(depth == 0))
+        par = position[parent[order[n_roots:]]]  # nondecreasing
+        starts, heads = _runs(par)
+        depths = depth[order]
+        bounds = np.searchsorted(depths, np.arange(depths.max(initial=0) + 2))
+        per_level = []
+        for lo, hi in zip(bounds[1:-1].tolist(), bounds[2:].tolist()):
+            lpar = par[lo - n_roots:hi - n_roots]
+            lstarts, lheads = _runs(lpar)
+            if lheads[-1] - lheads[0] + 1 == lheads.size:  # consecutive parents
+                lheads = slice(int(lheads[0]), int(lheads[-1]) + 1)
+            per_level.append((lo, hi, lpar, lstarts, lheads))
+        levels = Levels(order, position, n_roots, par, starts, heads, tuple(per_level))
+        for a in (position, par, starts, heads,
+                  *(a for level in per_level for a in level[3:]
+                    if isinstance(a, np.ndarray))):
+            a.flags.writeable = False
+        return levels
+
+    @cached_property
     def is_forest(self) -> bool:
         """True when the graph has no cycle: a spanning forest of the
         layout holds every edge.  Computed once per topology."""
@@ -115,6 +142,64 @@ class GraphTopology:
     def factors(self) -> list[tuple[int, ...]]:
         """Edges viewed as pairwise factors of a factor graph."""
         return [tuple(e) for e in self.edges]
+
+
+class Levels(NamedTuple):
+    """A topology's breadth-first positions (``GraphTopology.levels``).
+
+    Position p holds node ``order[p]`` and node i sits at ``position[i]``;
+    the first ``n_roots`` positions hold the component roots.  ``parent``
+    gives the parent position of every later position, nondecreasing, and
+    ``starts``/``heads`` are the ``np.add.reduceat`` starts of its runs
+    and the parent of each run.  ``per_level`` holds, per level below the
+    roots, ``(lo, hi, parent, starts, heads)``: the level's positions
+    ``lo:hi`` and the same three arrays restricted to it, except that
+    ``heads`` is a slice where the level's parents are consecutive
+    positions (every level of a breadth-first regular tree), so that
+    updating them acts on a view in place of a gather and a scatter.
+    """
+
+    order: np.ndarray
+    position: np.ndarray
+    n_roots: int
+    parent: np.ndarray
+    starts: np.ndarray
+    heads: np.ndarray
+    per_level: tuple
+
+
+def _runs(par):
+    """reduceat starts of the runs of equal entries of a sorted index
+    array, and the entry of each run."""
+    if not par.size:
+        return np.zeros(0, dtype=np.intp), par
+    starts = np.flatnonzero(np.r_[True, par[1:] != par[:-1]])
+    return starts, par[starts]
+
+
+def tree_solve(levels: Levels, diag, up, down, rhs):
+    """Solve R tree-sparse linear systems A y = rhs at once, in O(n) each.
+
+    Every array has one row per system and is indexed by breadth-first
+    position (``levels``): ``diag`` and ``rhs`` (R, n) hold A's diagonal
+    and the right-hand side, ``up`` and ``down`` (R, n − n_roots) hold, at
+    every non-root position c with parent p, A[p, c] and A[c, p]; the
+    same array may be passed for both.  One leaf-to-root elimination and
+    one back-substitution, level by level; a zero entry cuts its edge.
+    ``diag`` and ``rhs`` are overwritten.  Returns y (R, n).
+    """
+    nr = levels.n_roots
+    for lo, hi, _, starts, heads in reversed(levels.per_level):
+        ratio = up[:, lo - nr:hi - nr] / diag[:, lo:hi]
+        diag[:, heads] -= np.add.reduceat(down[:, lo - nr:hi - nr] * ratio, starts,
+                                          axis=1)
+        rhs[:, heads] -= np.add.reduceat(rhs[:, lo:hi] * ratio, starts, axis=1)
+    y = np.empty_like(rhs)
+    y[:, :nr] = rhs[:, :nr] / diag[:, :nr]
+    for lo, hi, par, _, _ in levels.per_level:
+        y[:, lo:hi] = (rhs[:, lo:hi] - down[:, lo - nr:hi - nr]
+                       * np.take(y, par, axis=1)) / diag[:, lo:hi]
+    return y
 
 
 @dataclass(frozen=True)

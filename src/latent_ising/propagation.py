@@ -15,8 +15,10 @@ On a forest the fixed point is reached exactly, without sweeps:
 ``ForestSolver`` finds the observed nodes' tilts by Newton's method on the
 dual of the I-projection, one exact two-pass BP per iteration, batched
 over independent runs.  Its levels come from the topology's breadth-first
-layout (``GraphTopology.layout``), the graph's one traversal, which the
-forest test and ``graph_cut_check`` read too.  ``Engine.solve`` sends it
+layout (``GraphTopology.layout`` and ``GraphTopology.levels``), the graph's
+one traversal, which the forest test and ``graph_cut_check`` read too, and
+its Newton direction is the one tree elimination, ``ising.tree_solve``,
+that the exact copula predictor shares.  ``Engine.solve`` sends it
 every forest batch, and
 ``Engine.run`` every constrained run on a forest of more than
 ``_LIST_MAX_SLOTS`` directed (factor, endpoint) message slots.
@@ -46,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ising import GraphTopology, LatentIsingModel
+from .ising import GraphTopology, LatentIsingModel, tree_solve
 
 _FLOOR = 1e-12  # divisor floor for mirror ratios against vanishing messages
 # Largest graph, in message slots, that Engine.run sweeps with the list
@@ -525,8 +527,10 @@ class ForestSolver:
       covariance, which is tree-sparse (Rue & Held 2005, ch. 2): for an
       edge, J_ij = −c_ij / (v_i v_j − c_ij²), and on the diagonal
       J_ii = (1 + Σ_j c_ij² / (v_i v_j − c_ij²)) / v_i, with v the spin
-      variances and c the edge covariances.  With y_O = g fixed, one
-      leaf-to-root elimination and one back-substitution solve
+      variances and c the edge covariances.  With y_O = g fixed, the
+      tree elimination that the exact copula predictor also uses
+      (``ising.tree_solve``: one leaf-to-root elimination and one
+      back-substitution over the topology's levels) solves
       J_HH y_H = −J_HO g, and d = (J y)_O: O(n) per run;
     * steps backtrack on the dual (Armijo), except that below a Newton
       decrement g·d of ``_FULL_STEP_DECREMENT`` the full step is taken,
@@ -543,19 +547,19 @@ class ForestSolver:
         if not topo.is_forest:
             raise ValueError("ForestSolver needs a graph without cycles")
         n = topo.n_nodes
-        order, parent, parent_edge, depth = topo.layout
-        nr = self._n_roots = int(np.count_nonzero(depth == 0))
+        levels = self._topo_levels = topo.levels
+        order, nr = levels.order, levels.n_roots
+        self._n_roots = nr
         self._perm = order                       # position -> node
-        self._inv = np.argsort(order)            # node -> position
+        self._inv = levels.position              # node -> position
+        self._par = levels.parent                # parent of every non-root position
+        self._starts, self._heads = levels.starts, levels.heads
         self._phi0 = model.phi[order, 0]
         self._phi1 = model.phi[order, 1]
         child = order[nr:]
-        # parent position of every non-root position, nondecreasing
-        self._par = self._inv[parent[child]]
-        self._starts, self._heads = _runs(self._par)
         # every edge's child position, whether the child is its second end,
         # and psi oriented (child, parent) at every non-root position
-        edge = parent_edge[child]
+        edge = topo.layout[2][child]
         self._edge_pos = np.empty(topo.n_edges, dtype=np.intp)
         self._edge_pos[edge] = np.arange(nr, n)
         self._edge_flip = np.empty(topo.n_edges, dtype=bool)
@@ -563,13 +567,11 @@ class ForestSolver:
         psi = np.ones((n, 2, 2))
         psi[nr:] = np.where(self._edge_flip[edge, None, None],
                             model.psi[edge].swapaxes(1, 2), model.psi[edge])
-        depths = depth[order]
-        bounds = np.searchsorted(depths, np.arange(depths.max(initial=0) + 2))
         # per level below the roots: slice, parents, reduceat groups, psi
         self._levels = [
-            (lo, hi, self._par[lo - nr:hi - nr], *_runs(self._par[lo - nr:hi - nr]),
+            (lo, hi, par, starts, heads,
              psi[lo:hi, 0, 0], psi[lo:hi, 0, 1], psi[lo:hi, 1, 0], psi[lo:hi, 1, 1])
-            for lo, hi in zip(bounds[1:-1], bounds[2:])
+            for lo, hi, par, starts, heads in levels.per_level
         ]
         flat = np.ones((1, n))
         self._prior1 = self._evaluate(flat, flat)[1][0]  # unobserved marginals
@@ -800,17 +802,7 @@ class ForestSolver:
         # J_HH y_H = −J_HO g, with g zero off the soft nodes
         r = np.where(hid, -self._matvec(j_diag, j_off, g), 0.0)
         k = np.where(hid_edge, j_off, 0.0)
-        dd = np.where(hid, j_diag, 1.0)
-        for lo, hi, _, starts, heads, *_ in reversed(self._levels):
-            kl = k[:, lo - nr:hi - nr]
-            ratio = kl / dd[:, lo:hi]
-            dd[:, heads] -= np.add.reduceat(kl * ratio, starts, axis=1)
-            r[:, heads] -= np.add.reduceat(r[:, lo:hi] * ratio, starts, axis=1)
-        y = np.empty_like(r)
-        y[:, :nr] = r[:, :nr] / dd[:, :nr]
-        for lo, hi, lpar, *_ in self._levels:
-            y[:, lo:hi] = (r[:, lo:hi] - k[:, lo - nr:hi - nr]
-                           * np.take(y, lpar, axis=1)) / dd[:, lo:hi]
+        y = tree_solve(self._topo_levels, np.where(hid, j_diag, 1.0), k, k, r)
         y = np.where(soft, g, y)
         return np.where(soft, self._matvec(j_diag, j_off, y), 0.0)
 
@@ -824,15 +816,6 @@ class ForestSolver:
             out[:, self._heads] += np.add.reduceat(j_off * y[:, nr:], self._starts,
                                                    axis=1)
         return out
-
-
-def _runs(par):
-    """reduceat starts of the runs of equal entries of a sorted index
-    array, and the entry of each run."""
-    if not par.size:
-        return np.zeros(0, dtype=np.intp), par
-    starts = np.flatnonzero(np.r_[True, par[1:] != par[:-1]])
-    return starts, par[starts]
 
 
 def reveal_tilt(target, belief):

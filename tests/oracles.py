@@ -63,6 +63,55 @@ def random_consistent_marginals(rng: np.random.Generator, edges, n: int,
     return p1, out
 
 
+def degree(topology, i: int) -> int:
+    """Number of edges of ``topology`` at node ``i``."""
+    return sum(i in edge for edge in topology.edges)
+
+
+def exact_predictor(model, observed: dict) -> dict:
+    """The library's exact conditional median for one observation set
+    ``{node: value}``, by a cold one-row ``exact_predictor_batch`` call;
+    every node is returned, the observed ones as given."""
+    from latent_ising.copula_lab import exact_predictor_batch
+
+    if not observed:
+        raise ValueError("no observations")
+    obs_idx = np.array(sorted(observed), dtype=int)
+    obs_vals = np.array([observed[int(i)] for i in obs_idx], dtype=float)
+    row = exact_predictor_batch(model, obs_idx[None], obs_vals[None])[0][0]
+    return {i: float(v) for i, v in enumerate(row)}
+
+
+def dense_exact_predictor(model, obs_idx, obs_vals) -> np.ndarray:
+    """Exact conditional medians (R, n) through the correlation matrix:
+    per row one k-by-k solve with corr[O, O], means corr[H, O] times its
+    weights, every hidden node through Phi and its marginal quantile.  Rows
+    as ``exact_predictor_batch`` takes them, on any graph."""
+    from scipy.special import ndtr, ndtri
+
+    obs_idx = np.asarray(obs_idx, dtype=np.intp)
+    obs_vals = np.asarray(obs_vals, dtype=float)
+    n_rows, k = obs_idx.shape
+    rows = np.arange(n_rows)[:, None]
+    out = np.empty((n_rows, model.n_nodes))
+    out[rows, obs_idx] = obs_vals
+    if k == model.n_nodes:
+        return out
+    hidden = np.ones(out.shape, dtype=bool)
+    hidden[rows, obs_idx] = False
+    free = np.nonzero(hidden)[1].reshape(n_rows, -1)
+    lift = [[model.marginals[i].cdf(v) for i, v in zip(ids, vals)]
+            for ids, vals in zip(obs_idx.tolist(), obs_vals)]
+    y_obs = ndtri(np.array(lift, dtype=float))
+    corr = model.correlation
+    weights = np.linalg.solve(
+        corr[obs_idx[:, :, None], obs_idx[:, None, :]], y_obs[..., None])
+    u_mean = ndtr((corr[free[:, :, None], obs_idx[:, None, :]] @ weights)[..., 0])
+    out[rows, free] = [[model.marginals[i].quantile(u) for i, u in zip(ids, us)]
+                       for ids, us in zip(free.tolist(), u_mean)]
+    return out
+
+
 def reference_decimation(truth, fitted, predictors, replicates, seed,
                          history=None, knn_k=50, schedule=None,
                          bin_width=0.05) -> list[dict]:
@@ -82,7 +131,6 @@ def reference_decimation(truth, fitted, predictors, replicates, seed,
         BeliefState,
         Engine,
         ForestSolver,
-        exact_predictor,
         impose_observations,
         knn_predictor,
         median_predictor,

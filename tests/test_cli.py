@@ -437,9 +437,9 @@ PUBLIC_NAMES = {
                "InverseCdf", "MedianStepEncoder", "build_decoder", "build_encoder",
                "conditional_cdfs", "jeffrey_update", "marginal_p1"],
     "copula_lab": ["BetaMarginal", "CopulaModel", "Dataset", "EmpiricalMarginal",
-                   "exact_predictor", "generate_copula", "grid_city",
-                   "knn_predictor", "median_predictor", "pair_topology",
-                   "regular_tree_topology", "sample"],
+                   "generate_copula", "grid_city", "knn_predictor",
+                   "median_predictor", "pair_topology", "regular_tree_topology",
+                   "sample"],
     "ecdf": ["EmpiricalCdf"],
     "harness": ["DecimationResult", "decimate", "fit_from_copula"],
     "ising": ["GraphTopology", "LatentIsingModel", "PairwiseMarginal", "assemble",

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import beta as beta_dist
 from scipy.stats import kstest, norm
 
@@ -11,7 +13,6 @@ from latent_ising import (
     EmpiricalCdf,
     EmpiricalMarginal,
     GraphTopology,
-    exact_predictor,
     generate_copula,
     grid_city,
     knn_predictor,
@@ -20,7 +21,8 @@ from latent_ising import (
     regular_tree_topology,
     sample,
 )
-from latent_ising.copula_lab import exact_predictor_batch
+from latent_ising.copula_lab import exact_predictor_batch, latent_values
+from oracles import degree, dense_exact_predictor, exact_predictor, random_tree_edges
 
 
 @pytest.mark.parametrize("a,b", [(1.0, 1.0), (0.7, 0.3), (2.0, 3.0), (0.5, 0.5)])
@@ -164,7 +166,7 @@ def test_exact_predictor_groups_equal_marginals_by_value(monkeypatch):
     obs_vals = rng.uniform(0.05, 0.95, size=obs_idx.shape)
     one_by_one = dataclasses.replace(
         truth, marginals=tuple(_OwnMarginal(m) for m in truth.marginals))
-    expected = exact_predictor_batch(one_by_one, obs_idx, obs_vals)
+    expected = exact_predictor_batch(one_by_one, obs_idx, obs_vals)[0]
 
     calls = Counter()
     for method in ("cdf", "quantile"):
@@ -172,7 +174,7 @@ def test_exact_predictor_groups_equal_marginals_by_value(monkeypatch):
             calls[_method, self.a, self.b] += 1
             return _fn(self, x)
         monkeypatch.setattr(BetaMarginal, method, counted)
-    got = exact_predictor_batch(truth, obs_idx, obs_vals)
+    got = exact_predictor_batch(truth, obs_idx, obs_vals)[0]
 
     assert calls == {("cdf", 2.0, 3.0): 1, ("cdf", 1.0, 1.0): 1,
                      ("quantile", 2.0, 3.0): 1, ("quantile", 1.0, 1.0): 1}
@@ -192,14 +194,139 @@ def test_marginal_groups_are_computed_once_per_model():
     obs_vals = np.array([[0.3, 0.6], [0.5, 0.1]])
     one_by_one = dataclasses.replace(
         truth, marginals=tuple(_OwnMarginal(m) for m in marginals))
-    np.testing.assert_array_equal(exact_predictor_batch(truth, obs_idx, obs_vals),
-                                  exact_predictor_batch(one_by_one, obs_idx, obs_vals))
+    np.testing.assert_array_equal(exact_predictor_batch(truth, obs_idx, obs_vals)[0],
+                                  exact_predictor_batch(one_by_one, obs_idx, obs_vals)[0])
 
 
 def test_exact_predictor_requires_observations():
     model = generate_copula(pair_topology(), seed=13)
     with pytest.raises(ValueError):
         exact_predictor(model, {})
+
+
+def _lab_truth(rng, kind):
+    """A random truth on a tree, on a forest with several components and
+    isolated nodes, or on a grid (the loopy path), with mixed beta
+    marginals."""
+    if kind == "grid":
+        rows, cols = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+        n = rows * cols
+        edges = [(r * cols + c, r * cols + c + 1) for r in range(rows)
+                 for c in range(cols - 1)]
+        edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1)
+                  for c in range(cols)]
+    else:
+        n = int(rng.integers(2, 13))
+        edges = random_tree_edges(rng, n)
+        if kind == "forest":
+            edges = [e for e in edges if rng.random() < 0.6]
+        edges = [e if rng.random() < 0.5 else e[::-1] for e in edges]
+    shapes = [BetaMarginal(1.0, 1.0), BetaMarginal(2.0, 3.0), BetaMarginal(0.7, 1.5)]
+    marginals = [shapes[i] for i in rng.integers(0, len(shapes), n)]
+    return generate_copula(GraphTopology(n, tuple(edges)),
+                           seed=int(rng.integers(2**31)), marginals=marginals)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["tree", "forest", "grid"]))
+def test_exact_predictor_matches_dense_oracle(seed, kind):
+    """Every k from 1 to n - 1, with up to two nodes in every observation
+    set, against the dense path through the correlation matrix; batch rows
+    equal one-row calls bit for bit."""
+    rng = np.random.default_rng(seed)
+    truth = _lab_truth(rng, kind)
+    n = truth.n_nodes
+    always = rng.permutation(n)[:int(rng.integers(0, min(2, n - 1) + 1))]
+    rest = np.setdiff1d(np.arange(n), always)
+    outcomes = sample(truth, 3, seed=int(rng.integers(2**31))).values
+    for k in range(1, n):
+        head = always[:k]
+        obs_idx = np.sort([np.concatenate([head, rng.permutation(rest)[:k - len(head)]])
+                           for _ in range(3)], axis=1)
+        obs_vals = np.take_along_axis(outcomes, obs_idx, axis=1)
+        got, _ = exact_predictor_batch(truth, obs_idx, obs_vals)
+        np.testing.assert_allclose(got, dense_exact_predictor(truth, obs_idx, obs_vals),
+                                   rtol=0, atol=1e-12)
+        for r in range(3):
+            one, _ = exact_predictor_batch(truth, obs_idx[r:r + 1], obs_vals[r:r + 1])
+            np.testing.assert_array_equal(one, got[r:r + 1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["tree", "forest", "grid"]))
+def test_exact_predictor_warm_reveals_equal_cold_calls(seed, kind):
+    """Down a reveal sequence, a call warm-started from the previous step
+    and given the outcomes lifted once returns the cold call's bits."""
+    rng = np.random.default_rng(seed)
+    truth = _lab_truth(rng, kind)
+    n = truth.n_nodes
+    outcomes = sample(truth, 4, seed=int(rng.integers(2**31))).values
+    latent = latent_values(truth, np.broadcast_to(np.arange(n), outcomes.shape), outcomes)
+    reveal = np.array([rng.permutation(n) for _ in range(4)])
+    state = None
+    for k in range(1, n + 1):
+        obs_idx = np.sort(reveal[:, :k], axis=1)
+        obs_vals = np.take_along_axis(outcomes, obs_idx, axis=1)
+        cold, _ = exact_predictor_batch(truth, obs_idx, obs_vals)
+        warm, state = exact_predictor_batch(
+            truth, obs_idx, obs_vals, np.take_along_axis(latent, obs_idx, axis=1), state)
+        np.testing.assert_array_equal(warm, cold)
+
+
+@pytest.mark.parametrize("cycle", [False, True])  # tree path, loopy path
+def test_exact_predictor_stays_finite_at_the_edge_of_the_support(cycle):
+    # beta(0.7, 0.3) samples round onto x = 1, whose CDF of 1 lifts to inf
+    assert BetaMarginal(0.7, 0.3).quantile(1.0 - 1e-5) == 1.0
+    edges = ((0, 1), (1, 2), (2, 3), (3, 4)) + (((4, 0),) if cycle else ())
+    truth = generate_copula(GraphTopology(5, edges), seed=19,
+                            marginals=[BetaMarginal(0.7, 0.3)] * 5)
+    obs_idx = np.array([[1, 3], [1, 3]])
+    obs_vals = np.array([[0.0, 0.5], [1.0, 0.5]])
+    got, _ = exact_predictor_batch(truth, obs_idx, obs_vals)
+    assert np.isfinite(got).all() and ((got >= 0.0) & (got <= 1.0)).all()
+    assert np.isfinite(latent_values(truth, [[0, 1, 2, 3, 4]],
+                                     [[0.0, 1.0, 0.5, 1.0, 0.0]])).all()
+
+
+def test_exact_predictor_forest_means_use_the_precision():
+    # the tree path never reads the correlation matrix
+    truth = generate_copula(regular_tree_topology(3, 30), seed=16)
+    obs_idx = np.array([[0, 4, 17], [2, 3, 29]])
+    obs_vals = np.array([[0.2, 0.5, 0.9], [0.6, 0.1, 0.4]])
+    expected, _ = exact_predictor_batch(truth, obs_idx, obs_vals)
+    blind = dataclasses.replace(truth, correlation=np.full((30, 30), np.nan))
+    np.testing.assert_array_equal(exact_predictor_batch(blind, obs_idx, obs_vals)[0],
+                                  expected)
+
+
+@pytest.mark.parametrize("obs_idx,obs_vals,warm,message", [
+    ([[0, 5]], [[0.5, 0.5]], None, r"observed node id outside 0\.\.4"),
+    ([[-1, 2]], [[0.5, 0.5]], None, r"observed node id outside 0\.\.4"),
+    ([[1, 1]], [[0.5, 0.5]], None, "repeated observed node id in a row"),
+    ([[2, 1]], [[0.5, 0.5]], None, "observed node ids not ascending in a row"),
+    (np.zeros((1, 0), dtype=int), np.zeros((1, 0)), None,
+     r"observation count 0 outside 1\.\.5"),
+    ([list(range(6))], [[0.5] * 6], None, r"observation count 6 outside 1\.\.5"),
+    ([[0, 2]], [[0.5]], None, r"observed values shaped \(1, 1\), node ids \(1, 2\)"),
+    ([[0.0, 2.0]], [[0.5, 0.5]], None, "observed node ids must be integers"),
+    ([0, 2], [0.5, 0.5], None, r"must be an \(R, k\) array"),
+    ([[0, 2]], [[0.5, 0.5]], (np.zeros((1, 4)), np.zeros((1, 4))),
+     r"warm state must be two \(1, 5\) arrays"),
+    ([[0, 2]], [[0.5, 0.5]], (np.zeros((1, 5)),), r"warm state must be two"),
+])
+@pytest.mark.parametrize("n_edges", [4, 5])  # tree path, loopy path
+def test_exact_predictor_rejects_malformed_rows(obs_idx, obs_vals, warm, message,
+                                                n_edges):
+    edges = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0))[:n_edges]
+    truth = generate_copula(GraphTopology(5, edges), seed=17)
+    with pytest.raises(ValueError, match=message):
+        exact_predictor_batch(truth, np.asarray(obs_idx), obs_vals, warm=warm)
+
+
+def test_exact_predictor_rejects_misshaped_latent_values():
+    truth = generate_copula(pair_topology(), seed=18)
+    with pytest.raises(ValueError, match=r"latent values shaped \(1, 2\)"):
+        exact_predictor_batch(truth, [[0]], [[0.5]], latent=[[0.0, 0.1]])
 
 
 def test_knn_full_history_is_column_mean():
@@ -257,8 +384,8 @@ def test_regular_tree_topology_shape():
     topo = regular_tree_topology(3, 100)
     assert topo.n_nodes == 100
     assert topo.n_edges == 99  # connected acyclic
-    assert topo.degree(0) == 3
-    assert max(topo.degree(i) for i in range(100)) == 3
+    assert degree(topo, 0) == 3
+    assert max(degree(topo, i) for i in range(100)) == 3
 
 
 def test_regular_tree_rejects_degenerate_args():
@@ -277,4 +404,4 @@ def test_grid_city_line_graph_shape():
     assert all(0 <= r < 92 for r in ring)
     # each ring segment touches at least one other segment
     for r in ring_set:
-        assert topo.degree(r) >= 2
+        assert degree(topo, r) >= 2

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from latent_ising import GraphTopology, PairwiseMarginal, assemble, exact_joint
+from latent_ising.ising import tree_solve
 
 from oracles import (
+    degree,
     is_forest_union_find,
     node_marginal,
     pair_marginal,
@@ -30,8 +32,8 @@ def test_topology_validation():
     with pytest.raises(ValueError, match="out of range"):
         GraphTopology(2, ((0, 2),))
     topo = GraphTopology(3, ((0, 1), (1, 2)))
-    assert topo.degree(1) == 2
-    assert topo.degree(0) == 1
+    assert degree(topo, 1) == 2
+    assert degree(topo, 0) == 1
     assert topo.factors() == [(0, 1), (1, 2)]
 
 
@@ -90,6 +92,85 @@ def test_layout_is_breadth_first_from_each_components_lowest_node():
         assert all(tuple(a) < tuple(b) for a, b in zip(key[:-1], key[1:]))
         for a in topo.layout:
             assert not a.flags.writeable
+
+
+def test_levels_group_the_layout_by_depth():
+    rng = np.random.default_rng(47)
+    kinds = set()  # a level's heads: a slice where its parents are consecutive
+    for _ in range(40):
+        topo = _random_graph(rng, int(rng.integers(1, 14)))
+        order, parent, _, depth = topo.layout
+        levels = topo.levels
+        nr = levels.n_roots
+        assert levels.order is order and topo.levels is levels
+        np.testing.assert_array_equal(order[levels.position], np.arange(topo.n_nodes))
+        np.testing.assert_array_equal(order[levels.parent], parent[order[nr:]])
+        # one reduceat run per parent
+        assert np.all(np.diff(levels.parent) >= 0)
+        np.testing.assert_array_equal(levels.heads, levels.parent[levels.starts])
+        np.testing.assert_array_equal(levels.heads, np.unique(levels.parent))
+        covered = nr
+        for lo, hi, par, starts, heads in levels.per_level:
+            assert lo == covered and len(set(depth[order[lo:hi]].tolist())) == 1
+            np.testing.assert_array_equal(par, levels.parent[lo - nr:hi - nr])
+            np.testing.assert_array_equal(np.arange(topo.n_nodes)[heads], par[starts])
+            kinds.add(type(heads))
+            covered = hi
+        assert covered == topo.n_nodes
+    assert kinds == {slice, np.ndarray}
+
+
+def _tree_systems(rng, topo, n_rows, symmetric):
+    """R dense systems A = D S on the graph: S symmetric and diagonally
+    dominant, D a positive diagonal (the identity when ``symmetric``)."""
+    n = topo.n_nodes
+    a = np.zeros((n_rows, n, n))
+    for i, j in topo.edges:
+        a[:, i, j] = a[:, j, i] = rng.uniform(-1.0, 1.0, n_rows)
+    idx = np.arange(n)
+    a[:, idx, idx] = np.abs(a).sum(axis=2) + rng.uniform(0.1, 1.0, (n_rows, n))
+    if not symmetric:
+        a *= rng.uniform(0.2, 5.0, (n_rows, n, 1))
+    return a
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_tree_solve_matches_dense_solve(symmetric):
+    rng = np.random.default_rng(48)
+    cases = []
+    for _ in range(60):
+        n = int(rng.integers(1, 25))
+        edges = [e for e in random_tree_edges(rng, n) if rng.random() < 0.8]
+        cases.append((GraphTopology(n, tuple(edges)), None))
+    star = GraphTopology(1101, tuple((0, i) for i in range(1, 1101)))
+    cases += [(star, "random"), (star, "all"), (star, "one")]
+    for topo, masks in cases:
+        n, n_rows = topo.n_nodes, 3
+        a = _tree_systems(rng, topo, n_rows, symmetric)
+        b = rng.normal(size=(n_rows, n))
+        hidden = rng.random((n_rows, n)) < 0.6
+        if masks in (None, "all"):
+            hidden[0] = True
+        if masks in (None, "one"):
+            hidden[-1] = np.arange(n) == rng.integers(n)
+        levels = topo.levels
+        order, nr = levels.order, levels.n_roots
+        child, parent = order[nr:], order[levels.parent]
+        hid = hidden[:, order]
+        kept = hid[:, nr:] & hid[:, levels.parent]  # the edges inside H
+        up = np.where(kept, a[:, parent, child], 0.0)
+        down = np.where(kept, a[:, child, parent], 0.0)
+        if symmetric:
+            np.testing.assert_array_equal(up, down)
+            down = up
+        diag = np.where(hid, a[:, order, order], 1.0)
+        y = tree_solve(levels, diag, up, down, np.where(hid, b[:, order], 0.0))
+        y = y[:, levels.position]
+        for r in range(n_rows):
+            h = np.flatnonzero(hidden[r])
+            if h.size:
+                expected = np.linalg.solve(a[r][np.ix_(h, h)], b[r, h])
+                np.testing.assert_allclose(y[r, h], expected, rtol=1e-10, atol=1e-12)
 
 
 def test_alpha_zero_gives_unit_couplings():
