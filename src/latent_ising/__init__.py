@@ -25,11 +25,8 @@ _EXPORTS = {  # module: the public names it provides
         "CdfEncoder",
         "InverseCdf",
         "MedianStepEncoder",
-        "build_decoder",
         "build_encoder",
         "conditional_cdfs",
-        "jeffrey_update",
-        "marginal_p1",
     ),
     "copula_lab": (
         "BetaMarginal",

@@ -12,6 +12,8 @@ Decoders either invert the CDF directly (``inverse-cdf``) or take a
 statistic of the belief-reweighted mixture of the two conditional
 distributions (``bayes-quad``, ``bayes-median-step``, ``bayes-mean-step``).
 ``DECODER_KINDS`` names the encoder kind that each decoder kind inverts.
+A model decodes through ``BatchDecoder``, every node in one array call;
+the one-node decoder classes state each kind's formula on its own.
 """
 
 from __future__ import annotations
@@ -26,18 +28,14 @@ __all__ = [
     "CdfEncoder",
     "MedianStepEncoder",
     "ConditionalCdfs",
-    "JeffreyMixtureCdf",
     "InverseCdf",
     "BayesQuadCdf",
     "BayesMedianStep",
     "BayesMeanStep",
     "build_encoder",
     "encode_training",
-    "build_decoder",
     "BatchDecoder",
-    "marginal_p1",
     "conditional_cdfs",
-    "jeffrey_update",
     "bayes_quad_level",
     "median_step_level",
     "ENCODER_KINDS",
@@ -93,19 +91,9 @@ class MedianStepEncoder:
 ENCODER_KINDS = {"cdf": CdfEncoder, "median-step": MedianStepEncoder}
 
 
-def marginal_p1(encoder, training_samples) -> float:
-    """Empirical mean of the encoding over the training samples.
-
-    Raises if the result is degenerate (0 or 1): such a node carries no
-    usable latent information.
-    """
-    samples = np.asarray(training_samples, dtype=float)
-    if samples.size == 0:
-        raise ValueError("no samples")
-    return _mean_code(encoder.encode(samples))
-
-
 def _mean_code(codes) -> float:
+    """Mean of the codes, the node's p1; 0 or 1 raises ``ValueError``: such
+    a node carries no usable latent information."""
     p1 = float(np.mean(codes))
     if p1 <= 0.0 or p1 >= 1.0:
         raise ValueError("degenerate latent variable")
@@ -196,23 +184,6 @@ def conditional_cdfs(encoder) -> ConditionalCdfs:
         mean0=float(np.dot(support, w0)),
         p1=p1,
     )
-
-
-@dataclass(frozen=True)
-class JeffreyMixtureCdf:
-    """b * F1 + (1-b) * F0: the belief-updated distribution of X."""
-
-    cond: ConditionalCdfs
-    b: float
-
-    def evaluate(self, x):
-        return self.b * self.cond.f1(x) + (1.0 - self.b) * self.cond.f0(x)
-
-
-def jeffrey_update(cond: ConditionalCdfs, b: float) -> JeffreyMixtureCdf:
-    if not 0.0 <= b <= 1.0:
-        raise ValueError("invalid probability")
-    return JeffreyMixtureCdf(cond, float(b))
 
 
 # --- decoders ---------------------------------------------------------------
@@ -307,32 +278,20 @@ DECODER_KINDS = {
 }
 
 
-def build_decoder(kind: str, encoder):
-    """Build a decoder of the given kind for a fitted encoder."""
-    if kind == "inverse-cdf":
-        return InverseCdf(encoder.cdf)
-    if kind == "bayes-quad":
-        return BayesQuadCdf(encoder.cdf)
-    if kind == "bayes-median-step":
-        return BayesMedianStep(encoder.cdf)
-    if kind == "bayes-mean-step":
-        cond = conditional_cdfs(encoder)
-        return BayesMeanStep(cond.mean0, cond.mean1)
-    raise ValueError(f"unknown decoder kind: {kind!r}")
-
-
 class BatchDecoder:
     """One decoder kind over every node of a model: ``decode`` maps a whole
     belief array at once, its last axis running over the nodes.
 
-    The result is bit for bit what each node's ``build_decoder`` decoder
-    gives, and an invalid belief (NaN included) raises ``ValueError`` as
-    there.  Every node's sorted ECDF samples sit in one flat float64 block,
-    node p's from ``starts[p]``, as ``model_io`` stores them.  The quantile
-    is ``EmpiricalCdf.quantile``'s, as one gather into that block.  When all
-    nodes hold n samples, which fitted and loaded models do, the one rank
-    table of n samples serves every node; otherwise each node's rank is
-    recomputed as ``i / n_p``, the float that its own table stores.
+    The result is bit for bit what each node's one-node decoder of that
+    kind (``InverseCdf``, ``BayesQuadCdf``, ``BayesMedianStep`` or
+    ``BayesMeanStep``) gives, and an invalid belief (NaN included) raises
+    ``ValueError`` as there.  Every node's sorted ECDF samples sit in one
+    flat float64 block, node p's from ``starts[p]``, as ``model_io`` stores
+    them.  The quantile is ``EmpiricalCdf.quantile``'s, as one gather into
+    that block.  When all nodes hold n samples, which fitted and loaded
+    models do, the one rank table of n samples serves every node; otherwise
+    each node's rank is recomputed as ``i / n_p``, the float that its own
+    table stores.
     ``bayes-mean-step`` keeps the two conditional means of every node.
     Every node must carry the encoder kind that ``kind`` inverts
     (``DECODER_KINDS``); otherwise ``ValueError`` names the first node that

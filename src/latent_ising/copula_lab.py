@@ -9,12 +9,13 @@ predictor, which is the reference every other predictor is measured
 against.
 
 On a forest the predictor conditions through the precision, which is
-tree-sparse there: its conditional means come from the same tree
-elimination (``ising.tree_solve``) as the forest solver's Newton
-direction, in O(n) per observation set.  A loopy truth conditions through
-a k-by-k solve with the correlation matrix.  Either way the marginal
-quantile, the costly step, runs only on the hidden entries whose mean
-moved since the previous call (``exact_predictor_batch``'s ``warm``).
+tree-sparse there: its conditional means come from the same tree product
+and elimination (``ising.tree_matvec`` and ``ising.tree_solve``) as the
+forest solver's Newton direction, in O(n) per observation set.  A loopy
+truth conditions through a k-by-k solve with the correlation matrix.
+Either way the marginal quantile, the costly step, runs only on the
+hidden entries whose mean moved since the previous call
+(``exact_predictor_batch``'s ``warm``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from scipy.special import betainc, betaincinv, ndtr, ndtri
 
 from .ecdf import EmpiricalCdf
-from .ising import GraphTopology, tree_solve
+from .ising import GraphTopology, tree_matvec, tree_solve
 
 __all__ = [
     "BetaMarginal",
@@ -231,17 +232,37 @@ def _positive_definite(prec: np.ndarray) -> bool:
 
 def _copula_from_precision(topology, prec, marginals,
                            always_observed) -> CopulaModel:
-    """The copula of a precision matrix, with its correlation; a precision
-    matrix that is not n-by-n and positive definite, or a marginal count
-    other than n, raises ``ValueError``."""
+    """The copula of a precision matrix, with its correlation.  A precision
+    matrix that is not n-by-n, finite, symmetric, zero off the graph's
+    edges and diagonal and positive definite, a marginal count other than
+    n, and ``always_observed`` ids that are not distinct integers in
+    0..n-1 raise ``ValueError``, which names the first bad entry."""
     n = topology.n_nodes
     if prec.shape != (n, n):
         raise ValueError(f"precision matrix must be {n}x{n}")
     marginals = tuple(marginals)
     if len(marginals) != n:
         raise ValueError("one marginal required per node")
+    support = np.eye(n, dtype=bool)
+    edges = np.asarray(topology.edges, dtype=np.intp).reshape(-1, 2)
+    support[edges[:, 0], edges[:, 1]] = support[edges[:, 1], edges[:, 0]] = True
+    for bad, what in ((~np.isfinite(prec), "is not finite"),
+                      (prec != prec.T, "differs from its transpose"),
+                      ((prec != 0.0) & ~support, "is nonzero off the graph's edges")):
+        if bad.any():
+            i, j = np.argwhere(bad)[0].tolist()
+            raise ValueError(f"precision matrix entry ({i}, {j}) {what}")
     if not _positive_definite(prec):
         raise ValueError("precision matrix is not positive definite")
+    always = []
+    for i in always_observed:
+        if not isinstance(i, (int, np.integer)):
+            raise ValueError(f"always_observed id {i!r} is not an integer")
+        if not 0 <= i < n:
+            raise ValueError(f"always_observed id {i} outside 0..{n - 1}")
+        if i in always:
+            raise ValueError(f"always_observed id {i} is repeated")
+        always.append(int(i))
     cov = np.linalg.inv(prec)
     scale = 1.0 / np.sqrt(np.diag(cov))
     return CopulaModel(
@@ -249,7 +270,7 @@ def _copula_from_precision(topology, prec, marginals,
         precision=prec,
         correlation=cov * np.outer(scale, scale),
         marginals=marginals,
-        always_observed=tuple(int(i) for i in always_observed),
+        always_observed=tuple(always),
     )
 
 
@@ -410,10 +431,7 @@ def _forest_means(model: CopulaModel, obs_idx, latent) -> np.ndarray:
     hid[rows, at] = False
     y = np.zeros(hid.shape)
     y[rows, at] = latent
-    wy = np.zeros_like(y)
-    wy[:, nr:] = down * np.take(y, par, axis=1)
-    if levels.heads.size:
-        wy[:, levels.heads] += np.add.reduceat(up * y[:, nr:], levels.starts, axis=1)
+    wy = tree_matvec(levels, 0.0, up, down, y)
     hid_edge = hid[:, nr:] & np.take(hid, par, axis=1)
     mean = tree_solve(levels, np.ones(hid.shape), np.where(hid_edge, up, 0.0),
                       np.where(hid_edge, down, 0.0), np.where(hid, -wy, 0.0))

@@ -14,8 +14,9 @@ built on first use and kept with the topology.  The forest test, the exact
 forest solver (``propagation.ForestSolver``) and the convergence check by
 graph cutting (``propagation.graph_cut_check``) all read it.  Its level
 arrays (``GraphTopology.levels``) drive the one tree elimination,
-``tree_solve``, which the forest solver's Newton direction and the copula
-lab's exact predictor (``copula_lab.exact_predictor_batch``) share.
+``tree_solve``, and the one tree-sparse product, ``tree_matvec``, which
+the forest solver's Newton direction and the copula lab's exact predictor
+(``copula_lab.exact_predictor_batch``) share.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "assemble",
     "check_alpha",
     "exact_joint",
+    "tree_matvec",
     "tree_solve",
 ]
 
@@ -202,6 +204,19 @@ def tree_solve(levels: Levels, diag, up, down, rhs):
     return y
 
 
+def tree_matvec(levels: Levels, diag, up, down, y):
+    """A y for R tree-sparse matrices A at once, in O(n) each, with A laid
+    out as ``tree_solve`` takes it: ``diag`` (R, n) or a scalar, ``up`` and
+    ``down`` (R, n − n_roots) A[p, c] and A[c, p] at every non-root
+    position c with parent p, and y (R, n).  Returns A y (R, n)."""
+    nr = levels.n_roots
+    out = diag * y
+    out[:, nr:] += down * np.take(y, levels.parent, axis=1)
+    if levels.heads.size:
+        out[:, levels.heads] += np.add.reduceat(up * y[:, nr:], levels.starts, axis=1)
+    return out
+
+
 @dataclass(frozen=True)
 class PairwiseMarginal:
     """Joint law of a latent pair as (p_i1, p_j1, p_ij11) plus sample count."""
@@ -222,6 +237,12 @@ class PairwiseMarginal:
         return np.array(
             [[1.0 - pi - pj + p11, pj - p11], [pi - p11, p11]], dtype=float
         )
+
+    def ratio(self) -> np.ndarray:
+        """The table over the product of its node marginals, indexed
+        [s_i][s_j]: the untempered coupling."""
+        pi, pj = self.p_i1, self.p_j1
+        return self.table() / np.outer([1.0 - pi, pi], [1.0 - pj, pj])
 
     def validate(self):
         lo, hi = self.domain()

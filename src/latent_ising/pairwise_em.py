@@ -67,11 +67,6 @@ def _cell_products(samples: PairSamples, enc_i, enc_j, codes=None):
     return np.array([[(1 - ui) * (1 - uj), (1 - ui) * uj], [ui * (1 - uj), ui * uj]])
 
 
-def _psi(pi: float, pj: float, p11: float) -> np.ndarray:
-    table = PairwiseMarginal(pi, pj, p11).table()
-    return table / np.outer([1.0 - pi, pi], [1.0 - pj, pj])
-
-
 def em_iterates(
     samples: PairSamples,
     enc_i,
@@ -112,7 +107,7 @@ def em_iterates(
     yield PairwiseMarginal(pi, pj, t, n_obs=n)
 
     for _ in range(max_iter):
-        psi = _psi(pi, pj, t)
+        psi = PairwiseMarginal(pi, pj, t).ratio()
         z = np.einsum("ab,abk->k", psi, a)
         # posterior cell frequencies
         r = np.einsum("ab,abk->ab", psi, a / z) / n
@@ -176,8 +171,7 @@ def log_likelihood(samples: PairSamples, enc_i, enc_j, m: PairwiseMarginal) -> f
     """
     m.validate()
     a = _cell_products(samples, enc_i, enc_j)
-    psi = m.table() / np.outer([1.0 - m.p_i1, m.p_i1], [1.0 - m.p_j1, m.p_j1])
-    z = np.einsum("ab,abk->k", psi, a)
+    z = np.einsum("ab,abk->k", m.ratio(), a)
     if np.any(z <= 0.0):
         raise ValueError("zero likelihood for some sample")
     return float(np.log(z).sum())

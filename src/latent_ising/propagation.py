@@ -17,11 +17,14 @@ dual of the I-projection, one exact two-pass BP per iteration, batched
 over independent runs.  Its levels come from the topology's breadth-first
 layout (``GraphTopology.layout`` and ``GraphTopology.levels``), the graph's
 one traversal, which the forest test and ``graph_cut_check`` read too, and
-its Newton direction is the one tree elimination, ``ising.tree_solve``,
-that the exact copula predictor shares.  ``Engine.solve`` sends it
-every forest batch, and
-``Engine.run`` every constrained run on a forest of more than
-``_LIST_MAX_SLOTS`` directed (factor, endpoint) message slots.
+its Newton direction uses the one tree product and elimination,
+``ising.tree_matvec`` and ``ising.tree_solve``, that the exact copula
+predictor shares.  The solver has one entry, ``Engine.solve``, which sends
+it every forest batch; ``Engine.run`` answers a constrained run on a
+forest of more than ``_LIST_MAX_SLOTS`` directed (factor, endpoint)
+message slots as a one-row ``Engine.solve``, with pair beliefs and
+messages from ``ForestSolver.edge_state``.  A run starts from zero tilts
+unless ``Engine.solve`` resumes it.
 
 Every other run sweeps.  ``Engine.run`` picks the traversal from the size
 of the graph: on small graphs (at most ``_LIST_MAX_SLOTS`` slots) a
@@ -48,7 +51,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ising import GraphTopology, LatentIsingModel, tree_solve
+from .ising import GraphTopology, LatentIsingModel, tree_matvec, tree_solve
 
 _FLOOR = 1e-12  # divisor floor for mirror ratios against vanishing messages
 # Largest graph, in message slots, that Engine.run sweeps with the list
@@ -233,21 +236,20 @@ class Engine:
         its final residual.  ``warm`` resumes where the last call stopped:
         on a forest each observed node keeps its tilt, and a node observed
         since then starts at ``reveal_tilt`` of its target and its last
-        belief (the first call starts from ``ForestSolver.solve``'s
-        default); on a loopy graph the runs go on from their last messages
-        (the first call from 0.5 everywhere).  Every row ends as it would
-        alone.
+        belief (the first call starts from zero tilts); on a loopy graph
+        the runs go on from their last messages (the first call from 0.5
+        everywhere).  Every row ends as it would alone.  A cold start from
+        zero tilts was the faster one on the benchmark's 12 tree queries:
+        61 ms and 114 Newton steps in all, against 111 ms and 122 from
+        ``reveal_tilt`` of each node's unobserved marginal.
 
-        ``run``, one query at a time, chooses otherwise on a forest.  An
-        unconstrained run sweeps: on the benchmark's 198-slot tree, with
-        engine and solver reused, one calibration probe took 410 µs on
+        ``run``, one query at a time, sends a constrained forest run here
+        but sweeps an unconstrained one: on the benchmark's 198-slot tree,
+        with engine and solver reused, one calibration probe took 410 µs on
         sweeps against 630 µs through the solver at alpha 1, 434 against
         615 µs at 0.5 and 160 against 624 µs at 0.  The solve alone, without
         pair beliefs and messages, took about 300 µs, but every probe is a
-        new model, whose solver would be built again (0.42-0.47 ms).  A
-        constrained run starts from zero tilts: on the benchmark's 12 tree
-        queries a ``reveal_tilt`` start took 111 ms and 122 Newton steps in
-        all, against 61 ms and 114.
+        new model, whose solver would be built again (0.42-0.47 ms).
         """
         observed = np.asarray(observed, dtype=bool)
         bstar = np.asarray(bstar, dtype=float)
@@ -267,14 +269,15 @@ class Engine:
         """Run to a fixed point; returns (BeliefState, ConvergenceReport).
 
         Graphs of at most ``_LIST_MAX_SLOTS`` slots run the list traversal.
-        On a larger forest a run with constraints is solved exactly by
-        ``ForestSolver`` from zero tilts; ``schedule`` and ``init_messages``
-        are validated but do not steer it.  Every other run is ``sweep``
-        with a single run.  Constraint keys must be node ids in 0..N-1, and
-        each value two finite, nonnegative weights with a positive sum;
-        ``init_messages`` must be finite and nonnegative, with a positive
-        sum in every slot.  Bad input raises ``ValueError`` before any
-        sweep or solve.
+        On a larger forest a run with constraints is row 0 of a cold
+        one-row ``solve`` (zero tilts), with pair beliefs and messages from
+        ``forest.edge_state``; a non-finite one is never reported as
+        converged, and ``schedule`` and ``init_messages`` are validated but
+        do not steer it.  Every other run is ``sweep`` with a single run.
+        Constraint keys must be node ids in 0..N-1, and each value two
+        finite, nonnegative weights with a positive sum; ``init_messages``
+        must be finite and nonnegative, with a positive sum in every slot.
+        Bad input raises ``ValueError`` before any sweep or solve.
         """
         schedule = schedule or Schedule()
         constraints = dict(constraints or {})
@@ -305,7 +308,14 @@ class Engine:
             )
         elif pinned.any() and self.model.topology.is_forest:
             _normalized(init)  # validated only: the solver starts from zero tilts
-            return self._solve_forest(pinned, bstar, constraints)
+            observed, bstar = pinned[None], bstar[None]
+            beliefs, (_, _, theta), converged, steps, residual = self.solve(observed,
+                                                                           bstar)
+            pairs, messages = self.forest.edge_state(observed, bstar, theta)
+            finite = all(np.isfinite(a).all() for a in (beliefs, pairs, messages))
+            state = BeliefState(beliefs[0], pairs[0], messages[0], constraints)
+            return state, ConvergenceReport(bool(converged[0]) and finite,
+                                            int(steps[0]), float(residual[0]), "newton")
         else:
             m, converged, sweeps, residual = (
                 x[0] for x in self.sweep(init[None], pinned[None], bstar[None],
@@ -320,21 +330,6 @@ class Engine:
             m.reshape(self.model.topology.n_edges, 2, 2), constraints,
         )
         return state, ConvergenceReport(converged, sweeps, float(residual))
-
-    def _solve_forest(self, pinned, bstar, constraints):
-        """One constrained run on a forest, solved by ``ForestSolver`` from
-        zero tilts.  Beliefs, pair beliefs and messages all come from the
-        solver's two-pass BP; a non-finite one is never reported as
-        converged."""
-        observed, bstar = pinned[None], bstar[None]
-        beliefs, theta, converged, steps, residual = self.forest.solve(
-            observed, bstar, np.zeros(observed.shape))
-        edge_beliefs, messages = self.forest.edge_state(observed, bstar, theta)
-        finite = all(np.isfinite(a).all() for a in (beliefs, edge_beliefs, messages))
-        state = BeliefState(beliefs[0], edge_beliefs[0], messages[0], constraints)
-        report = ConvergenceReport(bool(converged[0]) and finite, int(steps[0]),
-                                   float(residual[0]), "newton")
-        return state, report
 
     def _sweep_sequential(self, init, pinned, bstar0, bstar1, schedule: Schedule):
         m0 = init[:, 0].tolist()
@@ -519,10 +514,11 @@ class ForestSolver:
 
     * one evaluation is an exact two-pass BP, level by level in
       breadth-first order, on arrays shaped (R, level); it gives node
-      beliefs, (child, parent) pair beliefs and log Z.  The levels, the
-      parents and the (child, parent) orientation of psi are read from
-      the topology's layout (``GraphTopology.layout``), computed once
-      per topology and shared by every model on it;
+      beliefs, (child, parent) pair beliefs and log Z.  The levels and
+      the parents are the fields of ``GraphTopology.levels``, and the
+      (child, parent) orientation of psi comes from the topology's
+      layout, both computed once per topology and shared by every model
+      on it;
     * the direction d = Σ_OO⁻¹ g uses the precision J of the spin
       covariance, which is tree-sparse (Rue & Held 2005, ch. 2): for an
       edge, J_ij = −c_ij / (v_i v_j − c_ij²), and on the diagonal
@@ -531,7 +527,9 @@ class ForestSolver:
       tree elimination that the exact copula predictor also uses
       (``ising.tree_solve``: one leaf-to-root elimination and one
       back-substitution over the topology's levels) solves
-      J_HH y_H = −J_HO g, and d = (J y)_O: O(n) per run;
+      J_HH y_H = −J_HO g, and d = (J y)_O, with J's products and the
+      diagonal's sums over edges taken by ``ising.tree_matvec``: O(n) per
+      run;
     * steps backtrack on the dual (Armijo), except that below a Newton
       decrement g·d of ``_FULL_STEP_DECREMENT`` the full step is taken,
       because the decrease to be tested is then close to the round-off of
@@ -546,14 +544,9 @@ class ForestSolver:
         topo = model.topology
         if not topo.is_forest:
             raise ValueError("ForestSolver needs a graph without cycles")
-        n = topo.n_nodes
-        levels = self._topo_levels = topo.levels
-        order, nr = levels.order, levels.n_roots
-        self._n_roots = nr
-        self._perm = order                       # position -> node
-        self._inv = levels.position              # node -> position
-        self._par = levels.parent                # parent of every non-root position
-        self._starts, self._heads = levels.starts, levels.heads
+        self._topology = topo
+        levels = topo.levels
+        order, nr, n = levels.order, levels.n_roots, topo.n_nodes
         self._phi0 = model.phi[order, 0]
         self._phi1 = model.phi[order, 1]
         child = order[nr:]
@@ -564,7 +557,7 @@ class ForestSolver:
         self._edge_pos[edge] = np.arange(nr, n)
         self._edge_flip = np.empty(topo.n_edges, dtype=bool)
         self._edge_flip[edge] = np.reshape(topo.edges, (-1, 2))[edge, 1] == child
-        psi = np.ones((n, 2, 2))
+        psi = self._psi = np.ones((n, 2, 2))
         psi[nr:] = np.where(self._edge_flip[edge, None, None],
                             model.psi[edge].swapaxes(1, 2), model.psi[edge])
         # per level below the roots: slice, parents, reduceat groups, psi
@@ -573,8 +566,6 @@ class ForestSolver:
              psi[lo:hi, 0, 0], psi[lo:hi, 0, 1], psi[lo:hi, 1, 0], psi[lo:hi, 1, 1])
             for lo, hi, par, starts, heads in levels.per_level
         ]
-        flat = np.ones((1, n))
-        self._prior1 = self._evaluate(flat, flat)[1][0]  # unobserved marginals
 
     def solve(self, observed, bstar, theta=None):
         """Exact beliefs of R runs at once.
@@ -582,28 +573,27 @@ class ForestSolver:
         ``observed`` (R, n_nodes) marks each run's observed nodes and
         ``bstar`` (R, n_nodes, 2) holds their normalized imposed beliefs.
         ``theta`` (R, n_nodes) gives the starting tilts of the observed
-        nodes; by default each starts at ``reveal_tilt`` of its target and
-        its unobserved marginal.  Returns the arrays (beliefs, theta,
-        converged, iterations, residual): beliefs (R, n_nodes, 2) with the
-        observed nodes carrying b*, the final tilts (0 off the soft
-        observed nodes), and per run whether the residual fell below
-        ``_NEWTON_TOL``, the Newton steps taken and the residual
-        max |b_i − b*_i| over the observed nodes.
+        nodes; by default every run starts at zero tilts.  Returns the
+        arrays (beliefs, theta, converged, iterations, residual): beliefs
+        (R, n_nodes, 2) with the observed nodes carrying b*, the final
+        tilts (0 off the soft observed nodes), and per run whether the
+        residual fell below ``_NEWTON_TOL``, the Newton steps taken and
+        the residual max |b_i − b*_i| over the observed nodes.
         """
         observed = np.asarray(observed, dtype=bool)
         bstar = np.asarray(bstar, dtype=float)
-        perm, nr = self._perm, self._n_roots
+        levels = self._topology.levels
+        perm, nr, par = levels.order, levels.n_roots, levels.parent
         obs, hard, soft, base0, base1 = self._evidence(observed, bstar)
-        target = bstar[:, perm, 1]
         if theta is None:
-            theta = reveal_tilt(target, self._prior1)
+            theta = np.zeros(obs.shape)
         else:
             theta = np.asarray(theta, dtype=float)[:, perm]
         theta = np.where(soft, np.clip(theta, -_THETA_MAX, _THETA_MAX), 0.0)
-        target = np.where(soft, target, 0.0)
+        target = np.where(soft, bstar[:, perm, 1], 0.0)
         hid = ~obs
-        free_edge = ~hard[:, nr:] & ~np.take(hard, self._par, axis=1)
-        hid_edge = hid[:, nr:] & np.take(hid, self._par, axis=1)
+        free_edge = ~hard[:, nr:] & ~np.take(hard, par, axis=1)
+        hid_edge = hid[:, nr:] & np.take(hid, par, axis=1)
 
         n_runs, n = obs.shape
         out_b0, out_b1 = np.empty((n_runs, n)), np.empty((n_runs, n))
@@ -666,7 +656,7 @@ class ForestSolver:
             fresh = accept
             step = np.where(accept, step, 0.5 * step)
 
-        inv = self._inv
+        inv = levels.position
         beliefs = np.stack(
             [np.take(out_b0, inv, axis=1), np.take(out_b1, inv, axis=1)], axis=-1
         )
@@ -680,16 +670,31 @@ class ForestSolver:
         ``messages[:, e, 0]`` flowing toward i, ``messages[:, e, 1]`` toward
         j, each summing to one.  They come from the same two-pass BP as the
         beliefs, whose upward messages are max-scaled, so a hub with many
-        children keeps finite values."""
+        children keeps finite values: each edge's pair belief and downward
+        message are formed at its child's position as the downward pass
+        forms that child's belief."""
         _, _, soft, base0, base1 = self._evidence(np.asarray(observed, dtype=bool),
                                                   np.asarray(bstar, dtype=float))
-        theta = np.asarray(theta, dtype=float)[:, self._perm]
+        levels = self._topology.levels
+        theta = np.asarray(theta, dtype=float)[:, levels.order]
         w0, w1, _ = self._weights(theta, soft, base0, base1)
-        pairs, up, down = self._evaluate(w0, w1, full=True)
+        b0, b1, _, _, (u0, u1, mu0, mu1) = self._evaluate(w0, w1)
         pos, flip = self._edge_pos, self._edge_flip
-        pairs = pairs[:, pos]
+        par = levels.parent[pos - levels.n_roots]
+        psi = self._psi[pos]
+        p00, p01, p10, p11 = psi[:, 0, 0], psi[:, 0, 1], psi[:, 1, 0], psi[:, 1, 1]
+        o0 = np.take(b0, par, axis=1) / mu0[:, pos]
+        o1 = np.take(b1, par, axis=1) / mu1[:, pos]
+        d0 = p00 * o0 + p01 * o1  # the message from the parent
+        d1 = p10 * o0 + p11 * o1
+        a0, a1 = u0[:, pos], u1[:, pos]
+        tot = a0 * d0 + a1 * d1
+        a0, a1 = a0 / tot, a1 / tot
+        pairs = np.stack([a0 * p00 * o0, a0 * p01 * o1, a1 * p10 * o0, a1 * p11 * o1],
+                         axis=-1).reshape(a0.shape + (2, 2))
         pairs = np.where(flip[:, None, None], pairs.swapaxes(-1, -2), pairs)
-        up, down = up[:, pos], down[:, pos]  # toward the parent, the child
+        up = np.stack([mu0[:, pos], mu1[:, pos]], axis=-1)  # toward the parent
+        down = np.stack([d0, d1], axis=-1)  # toward the child
         up /= up.sum(axis=-1, keepdims=True)
         down /= down.sum(axis=-1, keepdims=True)
         f = flip[:, None]
@@ -699,7 +704,7 @@ class ForestSolver:
         """Per run in breadth-first order: the observed, hard (b* of 0 or
         1) and soft observed nodes, and the evidence weights of the nodes
         outside Newton, clamped or flat."""
-        perm = self._perm
+        perm = self._topology.levels.order
         obs = observed[:, perm]
         b0, b1 = bstar[:, perm, 0], bstar[:, perm, 1]
         hard = obs & ((b1 == 0.0) | (b1 == 1.0))
@@ -708,7 +713,7 @@ class ForestSolver:
     def _point(self, theta, soft, target, base0, base1):
         """Beliefs, pair beliefs and the dual at tilts ``theta``."""
         w0, w1, e = self._weights(theta, soft, base0, base1)
-        b0, b1, p11, log_z = self._evaluate(w0, w1)
+        b0, b1, p11, log_z, _ = self._evaluate(w0, w1)
         # log Z(θ) = log Z(w) + Σ softplus(θ_i)
         softplus = np.maximum(theta, 0.0) + np.log1p(e)
         dual = log_z + np.where(soft, softplus - theta * target, 0.0).sum(axis=1)
@@ -726,13 +731,14 @@ class ForestSolver:
         w1 = np.where(soft, np.where(pos, 1.0, e) * scale, base1)
         return w0, w1, e
 
-    def _evaluate(self, w0, w1, full=False):
+    def _evaluate(self, w0, w1):
         """Exact two-pass BP with node evidence weights w (R, n) in
         breadth-first order.  Returns the beliefs of state 0 and state 1,
         the [1, 1] entry of each (child, parent) pair belief at the child's
-        position, and log Z.  With ``full`` it returns, at every child's
-        position, the (child, parent) pair belief, and the messages to the
-        parent (max-scaled) and from it (unscaled)."""
+        position, log Z, and the pass's own arrays ``(u0, u1, mu0, mu1)``
+        that ``edge_state`` reads: each node's weighted field times its
+        children's messages, and at each child's position its message to
+        the parent (max-scaled)."""
         u0 = self._phi0 * w0
         u1 = self._phi1 * w1
         mu0, mu1 = np.empty_like(u0), np.empty_like(u1)
@@ -751,15 +757,12 @@ class ForestSolver:
             mu0[:, lo:hi], mu1[:, lo:hi] = m0, m1
             u0[:, heads] *= np.multiply.reduceat(m0, starts, axis=1)
             u1[:, heads] *= np.multiply.reduceat(m1, starts, axis=1)
-        nr = self._n_roots
+        nr = self._topology.levels.n_roots
         b0, b1, pair11 = np.empty_like(u0), np.empty_like(u0), np.zeros_like(u0)
         z = u0[:, :nr] + u1[:, :nr]
         log_z += np.log(z).sum(axis=1)
         b0[:, :nr] = u0[:, :nr] / z
         b1[:, :nr] = u1[:, :nr] / z
-        if full:
-            pairs = np.zeros(u0.shape + (2, 2))
-            down = np.ones(u0.shape + (2,))
         # downward: the parent's belief over the child's message is the
         # parent-side factor of the pair belief
         for lo, hi, par, _, _, p00, p01, p10, p11 in self._levels:
@@ -774,48 +777,27 @@ class ForestSolver:
             b0[:, lo:hi] = t0 / tot
             b1[:, lo:hi] = t1 / tot
             pair11[:, lo:hi] = a1 * p11 * o1 / tot
-            if full:
-                a0, a1 = a0 / tot, a1 / tot
-                pairs[:, lo:hi, 0, 0] = a0 * p00 * o0
-                pairs[:, lo:hi, 0, 1] = a0 * p01 * o1
-                pairs[:, lo:hi, 1, 0] = a1 * p10 * o0
-                pairs[:, lo:hi, 1, 1] = a1 * p11 * o1
-                down[:, lo:hi, 0], down[:, lo:hi, 1] = d0, d1
-        if full:
-            return pairs, np.stack([mu0, mu1], axis=-1), down
-        return b0, b1, pair11, log_z
+        return b0, b1, pair11, log_z, (u0, u1, mu0, mu1)
 
     def _direction(self, b0, b1, p11, g, soft, hid, free_edge, hid_edge):
         """Newton direction Σ_OO⁻¹ g of R runs through the tree-sparse
         precision; edges at clamped nodes are cut."""
-        nr, par = self._n_roots, self._par
+        levels = self._topology.levels
+        nr, par = levels.n_roots, levels.parent
         v = b0 * b1
         c = p11[:, nr:] - b1[:, nr:] * np.take(b1, par, axis=1)
         det = v[:, nr:] * np.take(v, par, axis=1) - c * c
         j_off = np.where(free_edge, -c / det, 0.0)
-        load = np.zeros_like(v)
-        load[:, nr:] = -c * j_off
-        if self._heads.size:
-            load[:, self._heads] += np.add.reduceat(-c * j_off, self._starts, axis=1)
+        load = -c * j_off  # each edge's share of both of its ends' diagonal
+        load = tree_matvec(levels, 0.0, load, load, np.ones_like(v))
         j_diag = np.where(hid | soft, (1.0 + load) / v, 0.0)
 
         # J_HH y_H = −J_HO g, with g zero off the soft nodes
-        r = np.where(hid, -self._matvec(j_diag, j_off, g), 0.0)
+        r = np.where(hid, -tree_matvec(levels, j_diag, j_off, j_off, g), 0.0)
         k = np.where(hid_edge, j_off, 0.0)
-        y = tree_solve(self._topo_levels, np.where(hid, j_diag, 1.0), k, k, r)
+        y = tree_solve(levels, np.where(hid, j_diag, 1.0), k, k, r)
         y = np.where(soft, g, y)
-        return np.where(soft, self._matvec(j_diag, j_off, y), 0.0)
-
-    def _matvec(self, j_diag, j_off, y):
-        """J y for R runs, J given by its diagonal and its (child, parent)
-        entries."""
-        nr = self._n_roots
-        out = j_diag * y
-        out[:, nr:] += j_off * np.take(y, self._par, axis=1)
-        if self._heads.size:
-            out[:, self._heads] += np.add.reduceat(j_off * y[:, nr:], self._starts,
-                                                   axis=1)
-        return out
+        return np.where(soft, tree_matvec(levels, j_diag, j_off, j_off, y), 0.0)
 
 
 def reveal_tilt(target, belief):

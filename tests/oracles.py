@@ -63,6 +63,60 @@ def random_consistent_marginals(rng: np.random.Generator, edges, n: int,
     return p1, out
 
 
+def marginal_p1(encoder, training_samples) -> float:
+    """Empirical mean of the encoding over the training samples, which
+    ``build_encoder`` stores as the encoder's p1; a mean of 0 or 1 (a
+    degenerate node) raises ``ValueError``."""
+    samples = np.asarray(training_samples, dtype=float)
+    if samples.size == 0:
+        raise ValueError("no samples")
+    p1 = float(np.mean(encoder.encode(samples)))
+    if p1 <= 0.0 or p1 >= 1.0:
+        raise ValueError("degenerate latent variable")
+    return p1
+
+
+class JeffreyMixtureCdf:
+    """b * F1 + (1-b) * F0: the belief-updated distribution of X, from the
+    encoder's two conditional step CDFs (``coding.conditional_cdfs``)."""
+
+    def __init__(self, cond, b: float):
+        self.cond = cond
+        self.b = b
+
+    def evaluate(self, x):
+        return self.b * self.cond.f1(x) + (1.0 - self.b) * self.cond.f0(x)
+
+
+def jeffrey_update(cond, b: float) -> JeffreyMixtureCdf:
+    if not 0.0 <= b <= 1.0:
+        raise ValueError("invalid probability")
+    return JeffreyMixtureCdf(cond, float(b))
+
+
+def build_decoder(kind: str, encoder):
+    """The one-node decoder of the given kind for a fitted encoder: what
+    ``coding.BatchDecoder`` computes for every node in one call."""
+    from latent_ising.coding import (
+        BayesMeanStep,
+        BayesMedianStep,
+        BayesQuadCdf,
+        InverseCdf,
+        conditional_cdfs,
+    )
+
+    if kind == "inverse-cdf":
+        return InverseCdf(encoder.cdf)
+    if kind == "bayes-quad":
+        return BayesQuadCdf(encoder.cdf)
+    if kind == "bayes-median-step":
+        return BayesMedianStep(encoder.cdf)
+    if kind == "bayes-mean-step":
+        cond = conditional_cdfs(encoder)
+        return BayesMeanStep(cond.mean0, cond.mean1)
+    raise ValueError(f"unknown decoder kind: {kind!r}")
+
+
 def degree(topology, i: int) -> int:
     """Number of edges of ``topology`` at node ``i``."""
     return sum(i in edge for edge in topology.edges)
@@ -347,3 +401,61 @@ def graph_cut_check_union_find(factors, constrained) -> str:
     if any(c > 2 for c in clone_count.values()):
         return "unknown"
     return "guaranteed"
+
+
+def edge_state_per_level(solver, observed, bstar, theta):
+    """``ForestSolver.edge_state`` as the solver once computed it: a second
+    two-pass BP at the tilts ``theta`` that writes, level by level in the
+    downward pass, every child's (child, parent) pair belief and its
+    message from the parent, then gathers them per edge.  Reads the
+    solver's evidence, weights, level tables and edge orientation."""
+    levels = solver._topology.levels
+    nr = levels.n_roots
+    _, _, soft, base0, base1 = solver._evidence(np.asarray(observed, dtype=bool),
+                                                np.asarray(bstar, dtype=float))
+    theta = np.asarray(theta, dtype=float)[:, levels.order]
+    w0, w1, _ = solver._weights(theta, soft, base0, base1)
+    u0, u1 = solver._phi0 * w0, solver._phi1 * w1
+    mu0, mu1 = np.empty_like(u0), np.empty_like(u1)
+    for lo, hi, _, starts, heads, p00, p01, p10, p11 in reversed(solver._levels):
+        a0, a1 = u0[:, lo:hi], u1[:, lo:hi]
+        m0 = a0 * p00 + a1 * p10
+        m1 = a0 * p01 + a1 * p11
+        z = np.maximum(m0, m1)
+        m0 /= z
+        m1 /= z
+        mu0[:, lo:hi], mu1[:, lo:hi] = m0, m1
+        u0[:, heads] *= np.multiply.reduceat(m0, starts, axis=1)
+        u1[:, heads] *= np.multiply.reduceat(m1, starts, axis=1)
+    b0, b1 = np.empty_like(u0), np.empty_like(u0)
+    z = u0[:, :nr] + u1[:, :nr]
+    b0[:, :nr] = u0[:, :nr] / z
+    b1[:, :nr] = u1[:, :nr] / z
+    pairs = np.zeros(u0.shape + (2, 2))
+    down = np.ones(u0.shape + (2,))
+    for lo, hi, par, _, _, p00, p01, p10, p11 in solver._levels:
+        o0 = np.take(b0, par, axis=1) / mu0[:, lo:hi]
+        o1 = np.take(b1, par, axis=1) / mu1[:, lo:hi]
+        d0 = p00 * o0 + p01 * o1
+        d1 = p10 * o0 + p11 * o1
+        a0, a1 = u0[:, lo:hi], u1[:, lo:hi]
+        t0 = a0 * d0
+        t1 = a1 * d1
+        tot = t0 + t1
+        b0[:, lo:hi] = t0 / tot
+        b1[:, lo:hi] = t1 / tot
+        a0, a1 = a0 / tot, a1 / tot
+        pairs[:, lo:hi, 0, 0] = a0 * p00 * o0
+        pairs[:, lo:hi, 0, 1] = a0 * p01 * o1
+        pairs[:, lo:hi, 1, 0] = a1 * p10 * o0
+        pairs[:, lo:hi, 1, 1] = a1 * p11 * o1
+        down[:, lo:hi, 0], down[:, lo:hi, 1] = d0, d1
+    pos, flip = solver._edge_pos, solver._edge_flip
+    pairs = pairs[:, pos]
+    pairs = np.where(flip[:, None, None], pairs.swapaxes(-1, -2), pairs)
+    up = np.stack([mu0, mu1], axis=-1)[:, pos]
+    down = down[:, pos]
+    up /= up.sum(axis=-1, keepdims=True)
+    down /= down.sum(axis=-1, keepdims=True)
+    f = flip[:, None]
+    return pairs, np.stack([np.where(f, up, down), np.where(f, down, up)], axis=2)

@@ -46,7 +46,17 @@ from oracles import (
 SQ2 = np.sqrt(2.0) / 2.0
 
 
-def _verdict(number: int, ok: bool, detail: str):
+def _verdict(number: int, ok: bool, detail: str, elapsed=None, limit=None):
+    """Print the criterion's ACCEPTANCE line, which holds only figures fixed
+    by the seeds, and assert ``ok``.  A timed criterion also asserts
+    ``elapsed <= limit`` and prints its seconds on a separate TIME line; a
+    failing verdict names them."""
+    if elapsed is not None:
+        timing = f"{elapsed:.1f}s (<={limit:.0f}s)"
+        print(f"\nTIME {number}: {timing}", flush=True)
+        ok = ok and elapsed <= limit
+        if not ok:
+            detail = f"{detail}, {timing}"
     print(f"\nACCEPTANCE {number}: {'PASS' if ok else 'FAIL'} - {detail}", flush=True)
     assert ok, f"criterion {number}: {detail}"
 
@@ -104,14 +114,14 @@ def test_criterion_2_pair_table_rho_05():
         excess["inverse-cdf"] <= 1.5,
         2.0 <= excess["bayes-quad"] <= 9.0,
         4.0 <= excess["median-step"] <= 11.0,
-        elapsed <= 120.0,
     ]
     _verdict(
         2, all(checks),
         f"rho=0.5: exact*100={exact:.2f} (20.96±0.3), "
         f"excess inv={excess['inverse-cdf']:.2f}% (<=1.5), "
         f"quad={excess['bayes-quad']:.2f}% (in [2,9]), "
-        f"step={excess['median-step']:.2f}% (in [4,11]), {elapsed:.0f}s (<=120)",
+        f"step={excess['median-step']:.2f}% (in [4,11])",
+        elapsed, 120.0,
     )
 
 
@@ -124,14 +134,14 @@ def test_criterion_3_pair_table_rho_09():
         excess["inverse-cdf"] <= 2.0,
         excess["bayes-quad"] >= 40.0,
         excess["median-step"] >= 40.0,
-        elapsed <= 120.0,
     ]
     _verdict(
         3, all(checks),
         f"rho=0.9: exact*100={exact:.2f} (9.83±0.3), "
         f"excess inv={excess['inverse-cdf']:.2f}% (<=2), "
         f"quad={excess['bayes-quad']:.2f}% (>=40), "
-        f"step={excess['median-step']:.2f}% (>=40), {elapsed:.0f}s (<=120)",
+        f"step={excess['median-step']:.2f}% (>=40)",
+        elapsed, 120.0,
     )
 
 
@@ -307,12 +317,13 @@ def test_criterion_9_tree_decimation():
             worst_rise = max(worst_rise, inv[b] - prev)
         prev = inv[b]
     converged = all(r["nonconverged_ratio"] == 0.0 for r in result.table())
-    checks = [beats_median, worst_rise <= 0.005, converged, elapsed <= 600.0]
+    checks = [beats_median, worst_rise <= 0.005, converged]
     _verdict(
         9, all(checks),
         f"tree decimation (500 replicates): inverse-cdf <= median at every "
         f"bin >= 0.1: {beats_median}, worst curve rise {worst_rise:.4f} <= 0.005, "
-        f"every run converged: {converged}, {elapsed:.0f}s (<=600)",
+        f"every run converged: {converged}",
+        elapsed, 600.0,
     )
 
 

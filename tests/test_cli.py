@@ -271,6 +271,13 @@ def bad_inputs(pair_files, tmp_path_factory):
                                           {**model["nodes"][1], "encoder": "median-step"}]},
         "t_negative_beta.json": {**truth_payload,
                                  "marginals": [{"kind": "beta", "a": -1, "b": 2}] * 2},
+        "t_nan_precision.json": {**truth_payload, "precision": [[1.0, float("nan")],
+                                                                [float("nan"), 1.0]]},
+        "t_asymmetric.json": {**truth_payload, "precision": [[1.0, -0.5], [-0.4, 1.0]]},
+        "t_off_graph.json": {**truth_payload, "edges": []},
+        "t_always_negative.json": {**truth_payload, "always_observed": [-1]},
+        "t_always_repeated.json": {**truth_payload, "always_observed": [1, 1]},
+        "t_always_float.json": {**truth_payload, "always_observed": [0.5]},
     }
     for name, payload in payloads.items():
         (tmp / name).write_text(json.dumps(payload))
@@ -292,6 +299,11 @@ def _predict(model):
 
 def _fit(pairs):
     return lambda p: ["fit", "--pairs", p[pairs], "--out", p["tmp"] / "fit.npz"]
+
+
+def _sample(truth):
+    return lambda p: ["sample", "--model", p[truth], "--n", "5",
+                      "--out", p["tmp"] / "s.csv"]
 
 
 def _gen_model(*args):
@@ -329,6 +341,18 @@ ERROR_BOUNDARY = [
      "decimate: wrongly typed field ("),
     (_decimate("--predictors", "exact", truth="t_negative_beta.json"),
      "decimate: beta marginal needs finite a, b > 0, got a=-1.0, b=2.0"),
+    (_sample("t_nan_precision.json"),
+     "sample: precision matrix entry (0, 1) is not finite"),
+    (_sample("t_asymmetric.json"),
+     "sample: precision matrix entry (0, 1) differs from its transpose"),
+    (_decimate("--predictors", "exact", truth="t_off_graph.json"),
+     "decimate: precision matrix entry (0, 1) is nonzero off the graph's edges"),
+    (_decimate("--predictors", "exact", truth="t_always_negative.json"),
+     "decimate: always_observed id -1 outside 0..1"),
+    (_decimate("--predictors", "exact", truth="t_always_repeated.json"),
+     "decimate: always_observed id 1 is repeated"),
+    (_decimate("--predictors", "exact", truth="t_always_float.json"),
+     "decimate: always_observed id 0.5 is not an integer"),
     (_gen_model("--topology", "tree:x"),
      "gen-model: --topology 'tree:x': expected tree:<connectivity>, an integer"),
     (_gen_model("--topology", "pair", "--rho", "2"),
@@ -434,8 +458,7 @@ def test_plotdata_names_missing_columns(tmp_path):
 PUBLIC_NAMES = {
     "alpha_calibration": ["AlphaSearchConfig", "calibrate", "deviation"],
     "coding": ["BayesMeanStep", "BayesMedianStep", "BayesQuadCdf", "CdfEncoder",
-               "InverseCdf", "MedianStepEncoder", "build_decoder", "build_encoder",
-               "conditional_cdfs", "jeffrey_update", "marginal_p1"],
+               "InverseCdf", "MedianStepEncoder", "build_encoder", "conditional_cdfs"],
     "copula_lab": ["BetaMarginal", "CopulaModel", "Dataset", "EmpiricalMarginal",
                    "generate_copula", "grid_city", "knn_predictor",
                    "median_predictor", "pair_topology", "regular_tree_topology",

@@ -3,11 +3,8 @@ import pytest
 
 from latent_ising import (
     EmpiricalCdf,
-    build_decoder,
     build_encoder,
     conditional_cdfs,
-    jeffrey_update,
-    marginal_p1,
 )
 from latent_ising.coding import (
     DECODER_KINDS,
@@ -19,6 +16,8 @@ from latent_ising.coding import (
     encode_training,
     median_step_level,
 )
+
+from oracles import build_decoder, jeffrey_update, marginal_p1
 
 SQ2 = np.sqrt(2) / 2
 

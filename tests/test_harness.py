@@ -8,7 +8,6 @@ from latent_ising import (
     GraphTopology,
     LatentIsingModel,
     Schedule,
-    build_decoder,
     decimate,
     fit_from_copula,
     generate_copula,
@@ -24,7 +23,7 @@ from latent_ising.harness import DECIMATION_COLUMNS
 from latent_ising.model_io import model_from_dict, model_to_dict
 from latent_ising.propagation import Engine, ForestSolver
 
-from oracles import reference_decimation, reference_fit
+from oracles import build_decoder, reference_decimation, reference_fit
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from latent_ising import GraphTopology, PairwiseMarginal, assemble, exact_joint
-from latent_ising.ising import tree_solve
+from latent_ising.ising import tree_matvec, tree_solve
 
 from oracles import (
     degree,
@@ -171,6 +171,46 @@ def test_tree_solve_matches_dense_solve(symmetric):
             if h.size:
                 expected = np.linalg.solve(a[r][np.ix_(h, h)], b[r, h])
                 np.testing.assert_allclose(y[r, h], expected, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_tree_matvec_matches_dense_product(symmetric):
+    rng = np.random.default_rng(49)
+    topos = [GraphTopology(n, tuple(e for e in random_tree_edges(rng, n)
+                                    if rng.random() < 0.8))
+             for n in rng.integers(1, 25, 60).tolist()]
+    topos.append(GraphTopology(1101, tuple((0, i) for i in range(1, 1101))))
+    for topo in topos:
+        n_rows = 3
+        a = _tree_systems(rng, topo, n_rows, symmetric)
+        y = rng.normal(size=(n_rows, topo.n_nodes))
+        levels = topo.levels
+        order, nr = levels.order, levels.n_roots
+        child, parent = order[nr:], order[levels.parent]
+        up, down = a[:, parent, child], a[:, child, parent]
+        got = tree_matvec(levels, a[:, order, order], up, down, y[:, order])
+        expected = np.einsum("rij,rj->ri", a, y)
+        np.testing.assert_allclose(got[:, levels.position], expected,
+                                   rtol=1e-12, atol=1e-12)
+        # a scalar diagonal: the off-diagonal part alone
+        got = tree_matvec(levels, 0.0, up, down, y[:, order])
+        idx = np.arange(topo.n_nodes)
+        off = a.copy()
+        off[:, idx, idx] = 0.0
+        np.testing.assert_allclose(got[:, levels.position],
+                                   np.einsum("rij,rj->ri", off, y), rtol=1e-12, atol=1e-12)
+
+
+def test_ratio_is_the_untempered_coupling():
+    rng = np.random.default_rng(50)
+    edges = random_tree_edges(rng, 12)
+    _, marginals = random_consistent_marginals(rng, edges, 12)
+    model = assemble(GraphTopology(12, tuple(edges)), marginals, 1.0)
+    for m, psi in zip(marginals, model.psi):
+        np.testing.assert_array_equal(m.ratio(), psi)
+        np.testing.assert_allclose(m.ratio() * np.outer([1 - m.p_i1, m.p_i1],
+                                                        [1 - m.p_j1, m.p_j1]),
+                                   m.table(), rtol=0, atol=1e-15)
 
 
 def test_alpha_zero_gives_unit_couplings():

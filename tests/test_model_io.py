@@ -247,6 +247,43 @@ def test_rejects_non_pd_precision():
         )
 
 
+def _tree_truth_dict(**changes):
+    """A 10-node tree truth as its file holds it, with entries replaced."""
+    d = copula_to_dict(generate_copula(regular_tree_topology(3, 10), seed=3))
+    return {**d, **changes}
+
+
+def _with_entry(i, j, value, both=True):
+    prec = np.array(_tree_truth_dict()["precision"])
+    prec[i, j] = value
+    if both:
+        prec[j, i] = value
+    return prec.tolist()
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"precision": _with_entry(0, 1, np.nan)},
+     r"precision matrix entry \(0, 1\) is not finite"),
+    ({"precision": _with_entry(4, 4, np.inf)},
+     r"precision matrix entry \(4, 4\) is not finite"),
+    ({"precision": _with_entry(2, 0, -0.4, both=False)},
+     r"precision matrix entry \(0, 2\) differs from its transpose"),
+    ({"precision": _with_entry(0, 9, 0.1)},
+     r"precision matrix entry \(0, 9\) is nonzero off the graph's edges"),
+    ({"always_observed": [-1]}, r"always_observed id -1 outside 0\.\.9"),
+    ({"always_observed": [10]}, r"always_observed id 10 outside 0\.\.9"),
+    ({"always_observed": [3, 5, 3]}, "always_observed id 3 is repeated"),
+    ({"always_observed": [0.5]}, "always_observed id 0.5 is not an integer"),
+    ({"always_observed": ["1"]}, "always_observed id '1' is not an integer"),
+])
+def test_truth_file_is_validated_at_load(changes, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        copula_from_dict(_tree_truth_dict(**changes))
+    # a valid set of always-observed ids loads
+    assert copula_from_dict(_tree_truth_dict(always_observed=[9, 0])).always_observed == (
+        9, 0)
+
+
 def test_dataset_csv_roundtrip(small_fit, tmp_path):
     truth, _, _ = small_fit
     data = sample(truth, 20, seed=5)

@@ -27,6 +27,7 @@ from latent_ising.coding import bayes_quad_level
 from latent_ising.propagation import _LIST_MAX_SLOTS, reveal_tilt
 
 from oracles import (
+    edge_state_per_level,
     graph_cut_check_union_find,
     ipf_fit,
     node_marginal,
@@ -547,14 +548,17 @@ def test_forest_solver_warm_and_cold_starts_agree():
 
 
 def test_forest_solver_single_observed_node_needs_no_step():
-    # the default start tilts a lone observed node exactly onto its target
+    # a reveal_tilt start from the unobserved marginals tilts a lone
+    # observed node exactly onto its target
     rng = np.random.default_rng(20)
     model = _random_tree_model(rng, 12, alpha=0.7)
+    solver = ForestSolver(model)
     observed = np.zeros((5, 12), dtype=bool)
+    prior = solver.solve(observed[:1], np.full((1, 12, 2), 0.5))[0][..., 1]
     observed[np.arange(5), [0, 3, 5, 7, 11]] = True
     b1 = rng.uniform(0.02, 0.98, (5, 12))
-    _, _, converged, iterations, _ = ForestSolver(model).solve(
-        observed, np.stack([1.0 - b1, b1], axis=-1))
+    _, _, converged, iterations, _ = solver.solve(
+        observed, np.stack([1.0 - b1, b1], axis=-1), reveal_tilt(b1, prior))
     assert converged.all()
     assert (iterations == 0).all()
 
@@ -613,6 +617,53 @@ def test_run_on_a_hub_whose_message_product_underflows():
     np.testing.assert_allclose(state.node_beliefs,
                                _star_beliefs_in_log_space(model, theta),
                                rtol=0, atol=1e-9)
+
+
+def test_edge_state_matches_the_per_level_pass():
+    # every edge's pair belief and downward message, formed from the one
+    # two-pass evaluation, bit for bit as the per-level pass formed them:
+    # random forests with some hard 0/1 targets, a forest whose observed
+    # nodes are all hard evidence, and the 1101-node star
+    rng = np.random.default_rng(47)
+    cases = []
+    for _ in range(30):
+        n = int(rng.integers(2, 40))
+        model = _random_forest_model(rng, n, alpha=1.0 - rng.random())
+        cases.append((model, *_random_evidence(rng, 6, n)))
+    model = _random_forest_model(rng, 30, alpha=0.8)
+    observed = rng.random((4, 30)) < 0.4
+    b1 = np.where(rng.random((4, 30)) < 0.5, 0.0, 1.0)
+    cases.append((model, observed, np.stack([1.0 - b1, b1], axis=-1)))
+    n = 1101
+    observed = np.zeros((2, n), dtype=bool)
+    observed[0, 1::2] = observed[1, :7] = True
+    b1 = np.where(np.arange(n) % 4 == 1, 0.6, 0.45)[None].repeat(2, axis=0)
+    cases.append((_hub_model(n, 0.26), observed, np.stack([1.0 - b1, b1], axis=-1)))
+    for model, observed, bstar in cases:
+        solver = ForestSolver(model)
+        theta = solver.solve(observed, bstar)[1]
+        got = solver.edge_state(observed, bstar, theta)
+        expected = edge_state_per_level(solver, observed, bstar, theta)
+        for a, b in zip(got, expected, strict=True):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_run_on_a_constrained_forest_is_row_0_of_solve():
+    # Engine.run answers a constrained forest run as a cold one-row
+    # Engine.solve, with edge_state at its tilts, bit for bit
+    rng = np.random.default_rng(48)
+    for engine, observed, _, constraints in _forest_queries(rng, 8):
+        state, report = engine.run(constraints)
+        bstar = np.zeros(observed.shape + (2,))
+        for i, b in constraints.items():
+            bstar[0, i] = b / b.sum()
+        beliefs, (_, _, theta), converged, steps, residual = engine.solve(observed, bstar)
+        pairs, messages = engine.forest.edge_state(observed, bstar, theta)
+        for got, expected in ((state.node_beliefs, beliefs), (state.edge_beliefs, pairs),
+                              (state.messages, messages)):
+            np.testing.assert_array_equal(got, expected[0])
+        assert (report.converged, report.sweeps, report.residual, report.method) == (
+            converged[0], steps[0], residual[0], "newton")
 
 
 def _forest_queries(rng, count):
@@ -996,8 +1047,8 @@ def test_forest_solver_orients_psi_as_a_node_loop_does():
         psi = rng.uniform(0.05, 1.0, (len(edges), 2, 2))
         model = _raw_model(GraphTopology(n, edges), phi / phi.sum(1, keepdims=True), psi)
         solver = ForestSolver(model)
-        order, parent, parent_edge, _ = model.topology.layout
-        nr = solver._n_roots
+        order, _, parent_edge, _ = model.topology.layout
+        nr = model.topology.levels.n_roots
         edge_pos = np.empty(len(edges), dtype=np.intp)
         flip = np.empty(len(edges), dtype=bool)
         oriented = np.ones((n, 2, 2))
@@ -1008,7 +1059,6 @@ def test_forest_solver_orients_psi_as_a_node_loop_does():
             oriented[k] = psi[e].T if flip[e] else psi[e]
         np.testing.assert_array_equal(solver._edge_pos, edge_pos)
         np.testing.assert_array_equal(solver._edge_flip, flip)
-        np.testing.assert_array_equal(solver._par, np.argsort(order)[parent[order[nr:]]])
         for lo, hi, _, _, _, p00, p01, p10, p11 in solver._levels:
             np.testing.assert_array_equal(np.stack([p00, p01, p10, p11], axis=-1),
                                           oriented[lo:hi].reshape(-1, 4))
@@ -1034,7 +1084,8 @@ def test_topology_computes_its_layout_once(monkeypatch):
     solver = ForestSolver(model)
     hotter = model.with_alpha(0.5)
     assert hotter.topology is topo
-    assert hotter.engine.forest._perm is topo.layout[0] is solver._perm
+    assert hotter.engine.forest._topology is topo is solver._topology
+    assert topo.levels.order is topo.layout[0]
     observed = np.zeros((1, 12), dtype=bool)
     observed[0, 3] = True
     bstar = np.full((1, 12, 2), 0.5)
