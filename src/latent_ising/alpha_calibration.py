@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, log2
+from typing import ClassVar
 
 import numpy as np
 
@@ -29,9 +30,14 @@ __all__ = ["AlphaSearchConfig", "deviation", "calibrate"]
 
 @dataclass(frozen=True)
 class AlphaSearchConfig:
+    """Bisection settings: the width ``precision`` of the final bracket and
+    the largest tolerated deviation ``tau``.  The probe's sweep schedule is
+    not a setting: ``schedule`` is always ``PROBE_SCHEDULE``, because the
+    pure-update dynamics are what the probe measures."""
+
     precision: float = 0.01
     tau: float = 0.05
-    schedule: Schedule = PROBE_SCHEDULE
+    schedule: ClassVar[Schedule] = PROBE_SCHEDULE
 
     def __post_init__(self):
         if not 0.0 < self.precision < np.inf:
@@ -70,19 +76,19 @@ def calibrate(model_family, config: AlphaSearchConfig | None = None,
     """Largest alpha in [0, 1] whose deviation stays within tau.
 
     ``model_family`` maps alpha to a model (a fitted model works directly:
-    its ``with_alpha`` is used).  Bisection keeps the invariant
-    (low feasible, high infeasible) and stops at the configured precision,
+    its ``with_alpha`` is used, so each probe is a model that differs from
+    the fitted one only in ``psi``, and is freed as soon as its deviation
+    is known).  ``deviation_fn`` scores a probe, by default ``deviation``
+    under ``PROBE_SCHEDULE``.  Bisection keeps the invariant (low
+    feasible, high infeasible) and stops at the configured precision,
     returning the low endpoint; it never needs more than
     ceil(log2(1/precision)) + 2 deviation evaluations.
     """
     config = config or AlphaSearchConfig()
+    family = model_family
     if isinstance(model_family, LatentIsingModel):
         family = model_family.with_alpha
-    else:
-        family = model_family
-    if deviation_fn is None:
-        def deviation_fn(model):
-            return deviation(model, config.schedule)
+    deviation_fn = deviation_fn or deviation
 
     if deviation_fn(family(0.0)) > config.tau:
         raise ValueError("inconsistent model at alpha=0")

@@ -216,6 +216,9 @@ def decimate(
         fitted = [fitted]
     by_encoder = {}
     for model in fitted:
+        if model.topology.n_nodes != truth.n_nodes:
+            raise ValueError(f"fitted model has {model.topology.n_nodes} nodes, "
+                             f"the truth model {truth.n_nodes}")
         if model.encoders is None:
             raise ValueError("fitted model carries no encoders")
         kind = model.encoders[0].kind
@@ -270,13 +273,12 @@ def decimate(
     np.put_along_axis(latent, lifted, latent_values(
         truth, lifted, np.take_along_axis(outcomes, lifted, axis=1)), axis=1)
 
-    # every node's encoded outcome, normalized as Engine.run normalizes
-    # constraints; a replicate pins the entries of the nodes it has revealed
+    # every node's encoded outcome [1 - lam, lam], whose two entries sum to
+    # exactly 1.0; a replicate pins the entries of the nodes it has revealed
     bstar = {}
     for key, model in needed_models.items():
         imposed = impose_observations(model, {i: outcomes[:, i] for i in range(n)})
-        vec = np.stack([imposed[i].T for i in range(n)], axis=1)
-        bstar[key] = vec / vec.sum(axis=-1, keepdims=True)
+        bstar[key] = np.stack([imposed[i].T for i in range(n)], axis=1)
     warm = dict.fromkeys(needed_models)  # each model's Engine.solve state
     exact_warm = None  # the exact predictor's state
     medians = median_predictor(truth, range(n))

@@ -8,6 +8,10 @@ pairwise-ratio form: per edge a coupling table
 and per node the field phi_i = (1 - p_i1, p_i1).  At alpha = 1 on trees
 this reproduces the joint distribution with the given marginals exactly;
 alpha < 1 tempers the couplings to compensate overcounting on loops.
+``pair_tables`` is the one form of the tables p_ij and of their ratios
+p_ij / (p_i p_j): ``PairwiseMarginal``, ``assemble`` and
+``LatentIsingModel.with_alpha`` all call it, so a new temperature is only
+a new power of the ratios a model already holds.
 
 ``GraphTopology`` holds the graph's one traversal: a breadth-first layout
 built on first use and kept with the topology.  The forest test, the exact
@@ -21,7 +25,7 @@ the forest solver's Newton direction and the copula lab's exact predictor
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -36,6 +40,7 @@ __all__ = [
     "assemble",
     "check_alpha",
     "exact_joint",
+    "pair_tables",
     "tree_matvec",
     "tree_solve",
 ]
@@ -233,16 +238,12 @@ class PairwiseMarginal:
 
     def table(self) -> np.ndarray:
         """2x2 array indexed [s_i][s_j]."""
-        pi, pj, p11 = self.p_i1, self.p_j1, self.p_ij11
-        return np.array(
-            [[1.0 - pi - pj + p11, pj - p11], [pi - p11, p11]], dtype=float
-        )
+        return pair_tables(self.p_i1, self.p_j1, self.p_ij11)[0]
 
     def ratio(self) -> np.ndarray:
         """The table over the product of its node marginals, indexed
         [s_i][s_j]: the untempered coupling."""
-        pi, pj = self.p_i1, self.p_j1
-        return self.table() / np.outer([1.0 - pi, pi], [1.0 - pj, pj])
+        return pair_tables(self.p_i1, self.p_j1, self.p_ij11)[1]
 
     def validate(self):
         lo, hi = self.domain()
@@ -291,10 +292,22 @@ class LatentIsingModel:
             self._cache["engine"] = Engine(self)
         return self._cache["engine"]
 
+    @cached_property
+    def ratio(self) -> np.ndarray:
+        """The untempered couplings p_ij / (p_i p_j) of every edge, shape
+        (E, 2, 2), from ``marginals`` by ``pair_tables``; computed once per
+        model.  A model without one marginal per edge raises
+        ``ValueError``."""
+        return pair_tables(*_marginal_columns(self.topology, self.marginals))[1]
+
     def with_alpha(self, alpha: float) -> "LatentIsingModel":
-        """Reassemble with a new temperature, reusing the fitted marginals."""
-        return assemble(self.topology, self.marginals, alpha,
-                        encoders=self.encoders, node_p1=self.node_p1)
+        """The model at a new temperature: psi = ``ratio`` ** alpha, the same
+        ``psi`` that ``assemble`` gives at alpha.  Nothing else changes, so
+        the topology, fields, marginals and encoders are this model's own
+        objects and are not validated again.  The new model builds its own
+        engine and decoders on first use."""
+        check_alpha(alpha)
+        return replace(self, alpha=float(alpha), psi=self.ratio**alpha)
 
 
 def check_alpha(alpha: float):
@@ -314,12 +327,13 @@ def assemble(
 
     Node marginals are shared: every edge touching a node must quote the
     same p1 (within 1e-9), either the encoder's value or one inferred from
-    the first incident edge.  A pairwise table with a zero cell would give
-    an infinite coupling and is rejected.
+    the first incident edge.  The couplings are ``pair_tables``' ratios of
+    every edge's own (p_i1, p_j1, p_ij11) raised to alpha, all edges at
+    once; a pairwise table with a zero cell would give an infinite
+    coupling and is rejected, naming the first such edge.
     """
     marginals = tuple(marginals)
-    if len(marginals) != topology.n_edges:
-        raise ValueError("one pairwise marginal required per edge")
+    columns = _marginal_columns(topology, marginals)
     check_alpha(alpha)
 
     n = topology.n_nodes
@@ -343,24 +357,46 @@ def assemble(
     if np.any(p1 <= 0.0) or np.any(p1 >= 1.0):
         raise ValueError("degenerate node marginal")
 
-    phi = np.column_stack([1.0 - p1, p1])
-    psi = np.empty((topology.n_edges, 2, 2))
-    for e, ((i, j), m) in enumerate(zip(topology.edges, marginals)):
-        table = m.table()
-        if np.any(table <= 0.0):
-            raise ValueError(f"infinite coupling on edge ({i},{j})")
-        ratio = table / np.outer(phi[i], phi[j])
-        psi[e] = ratio**alpha
+    tables, ratio = pair_tables(*columns)
+    bad = np.any(tables <= 0.0, axis=(1, 2))
+    if bad.any():
+        i, j = topology.edges[bad.argmax()]
+        raise ValueError(f"infinite coupling on edge ({i},{j})")
 
     return LatentIsingModel(
         topology=topology,
         node_p1=p1,
         marginals=marginals,
         alpha=float(alpha),
-        phi=phi,
-        psi=psi,
+        phi=np.column_stack([1.0 - p1, p1]),
+        psi=ratio**alpha,
         encoders=tuple(encoders) if encoders is not None else None,
     )
+
+
+def pair_tables(pi, pj, p11):
+    """Joint tables of latent pairs and their ratios to the products of
+    each pair's node marginals: the one coupling formula of the model.
+
+    Takes scalars, or 1-d arrays of equal length E, of p_i1, p_j1 and
+    p_ij11 (``pi``, ``pj``, ``p11``), and returns (tables, ratios), each
+    shaped (2, 2), or (E, 2, 2) for arrays, indexed [s_i][s_j]:
+    p_ij(s_i, s_j) and p_ij(s_i, s_j) / (p_i(s_i) p_j(s_j)), the
+    untempered coupling.
+    """
+    qi, qj = 1.0 - pi, 1.0 - pj
+    shape = np.shape(pi) + (2, 2)
+    tables = np.array([qi - pj + p11, pj - p11, pi - p11, p11], dtype=float)
+    ratios = tables / np.array([qi * qj, qi * pj, pi * qj, pi * pj], dtype=float)
+    return tuple(np.ascontiguousarray(a.T).reshape(shape) for a in (tables, ratios))
+
+
+def _marginal_columns(topology: GraphTopology, marginals) -> np.ndarray:
+    """The (p_i1, p_j1, p_ij11) of one marginal per edge of ``topology`` as
+    three arrays; another count of marginals raises ``ValueError``."""
+    if len(marginals) != topology.n_edges:
+        raise ValueError("one pairwise marginal required per edge")
+    return np.array([(m.p_i1, m.p_j1, m.p_ij11) for m in marginals]).reshape(-1, 3).T
 
 
 def exact_joint(model: LatentIsingModel) -> np.ndarray:

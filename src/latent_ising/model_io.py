@@ -5,7 +5,9 @@ A fitted-model file (``save_models``) is one ``.npz`` container, written
 under whatever name the caller gives.  It holds
 
 - ``header``: UTF-8 JSON bytes, ``{"schema": 2, "models": [...]}``, each
-  model being the ``model_to_dict`` payload without ``cdf_samples``;
+  model being ``{"alpha", "nodes", "edges"}``: per node its ``id``,
+  ``encoder`` kind and ``p1``, per edge its ends ``i`` and ``j``, ``p11``
+  and ``n_obs``;
 - ``samples_<k>`` and ``offsets_<k>`` for model k: every node's sorted
   ECDF samples as one flat float64 block, node p's samples at
   ``samples_<k>[offsets_<k>[p]:offsets_<k>[p + 1]]``, p being the node's
@@ -14,8 +16,9 @@ under whatever name the caller gives.  It holds
 ``load_models`` tells the container from a legacy file by its first four
 bytes, not by its name.  It reads the container with ``allow_pickle=False``,
 so an object array in it is refused without being unpickled.  A legacy
-file, a JSON ``model_to_dict`` payload or ``{"models": [...]}`` of them
-without a ``schema`` field, loads as it always did.
+file, one model's JSON payload (the header's, with each node's
+``cdf_samples`` inline) or ``{"models": [...]}`` of them without a
+``schema`` field, loads as it always did; nothing writes it any more.
 
 Truth models stay JSON.  ``copula_lab``, and with it ``scipy.special``, is
 imported by the truth-file and dataset functions only, so that loading a
@@ -40,7 +43,6 @@ if TYPE_CHECKING:
     from .copula_lab import CopulaModel, Dataset
 
 __all__ = [
-    "model_to_dict",
     "model_from_dict",
     "save_models",
     "load_models",
@@ -59,7 +61,8 @@ _NPZ_MAGIC = b"PK\x03\x04"  # a zip archive, as np.savez writes it
 
 
 def _header(model: LatentIsingModel) -> dict:
-    """The ``model_to_dict`` payload without the nodes' samples."""
+    """A model's entry in the container's header: everything but the
+    nodes' samples."""
     if model.encoders is None:
         raise ValueError("only fitted models (with encoders) are serialized")
     nodes = [
@@ -73,17 +76,10 @@ def _header(model: LatentIsingModel) -> dict:
     return {"alpha": model.alpha, "nodes": nodes, "edges": edges}
 
 
-def model_to_dict(model: LatentIsingModel) -> dict:
-    """The JSON payload of a fitted model, samples inline (the legacy file)."""
-    payload = _header(model)
-    for d, enc in zip(payload["nodes"], model.encoders):
-        d["cdf_samples"] = enc.cdf.sorted_samples.tolist()
-    return payload
-
-
 def model_from_dict(payload: dict) -> LatentIsingModel:
-    """The fitted model of a ``model_to_dict`` payload; ``cdf_samples`` may
-    be any 1-d array of floats.
+    """The fitted model of one model's payload, a header entry with each
+    node's ``cdf_samples`` inline; ``cdf_samples`` may be any 1-d array of
+    floats.
 
     A missing or wrongly typed field, an edge endpoint that is not a node id
     or an invalid value raises ``ValueError`` naming the node or edge it

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .ising import PairwiseMarginal  # re-exported; lives in ising, which needs no scipy
+# PairwiseMarginal is re-exported; it lives in ising, which needs no scipy
+from .ising import PairwiseMarginal, pair_tables
 
 _EPS = 1e-9  # clamp shrink keeping couplings finite when p11 saturates
 
@@ -86,8 +87,6 @@ def em_iterates(
     ``(enc_i.encode(samples.xi), enc_j.encode(samples.xj))`` already
     computed by the caller; it must have the shape of the samples.
     """
-    if samples.count == 0:
-        raise ValueError("no samples")
     pi, pj = enc_i.p1, enc_j.p1
     if not (0.0 < pi < 1.0 and 0.0 < pj < 1.0):
         raise ValueError("degenerate latent variable")
@@ -107,7 +106,7 @@ def em_iterates(
     yield PairwiseMarginal(pi, pj, t, n_obs=n)
 
     for _ in range(max_iter):
-        psi = PairwiseMarginal(pi, pj, t).ratio()
+        psi = pair_tables(pi, pj, t)[1]
         z = np.einsum("ab,abk->k", psi, a)
         # posterior cell frequencies
         r = np.einsum("ab,abk->ab", psi, a / z) / n

@@ -40,11 +40,14 @@ drops below the tolerance.  Non-convergence is reported, never raised.
 Each model keeps one ``Engine`` (``LatentIsingModel.engine``) and each
 engine one ``ForestSolver`` (``Engine.forest``), both built on first use,
 so a stream of queries on one model pays the graph set-up once; a run
-writes nothing to either.
+writes nothing to either.  An engine keeps the model's topology, fields
+and couplings, not the model (``Engine.model`` is a weak reference), so a
+model that a temperature probe built is freed as soon as it is dropped.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -156,38 +159,48 @@ class BeliefState:
 class Engine:
     """Message-passing engine bound to one model, kept as ``model.engine``.
 
-    Building the engine lays out the message slots as numpy arrays, straight
-    from the edge list; the sweep kernel, node beliefs and pair beliefs all
-    read them.  The list traversal's Python tables and ``forest``, the exact
-    solver, are built on first use, so an engine above ``_LIST_MAX_SLOTS``
-    slots never builds the tables.  Runs with different constraints or warm
-    starts then avoid any per-run graph work.  A run writes nothing to the
-    engine but those first-use builds, so a reused engine answers every
-    query as a fresh one would.
+    The engine keeps what it reads of its model, ``topology``, ``phi`` and
+    ``psi``, and holds the model itself only weakly (``model``), so a model
+    and its engine form no reference cycle and a dropped temperature probe
+    is freed at once.  Building the engine lays
+    out the message slots as numpy arrays, straight from the edge list; the
+    sweep kernel, node beliefs and pair beliefs all read them.  The list
+    traversal's Python tables and ``forest``, the exact solver, are built
+    on first use, so an engine above ``_LIST_MAX_SLOTS`` slots never builds
+    the tables.  Runs with different constraints or warm starts then avoid
+    any per-run graph work.  A run writes nothing to the engine but those
+    first-use builds, so a reused engine answers every query as a fresh one
+    would.
     """
 
     def __init__(self, model: LatentIsingModel):
-        self.model = model
-        topo = model.topology
-        self.n_slots = 2 * topo.n_edges
-        edges = np.asarray(topo.edges, dtype=np.intp).reshape(-1, 2)
+        self._model = weakref.ref(model)
+        self.topology, self.phi, self.psi = model.topology, model.phi, model.psi
+        self.n_slots = 2 * self.topology.n_edges
+        edges = np.asarray(self.topology.edges, dtype=np.intp).reshape(-1, 2)
         # slot 2e sends toward i (source j), slot 2e+1 toward j (source i);
         # a slot's coefficients c[a, b] weigh source state b into target a
         target = edges.ravel()
         self._src_arr = edges[:, ::-1].ravel()
         self._opp_arr = np.arange(self.n_slots, dtype=np.intp) ^ 1
-        psi = model.psi
-        self._coef_arr = np.concatenate((psi, psi.transpose(0, 2, 1)), axis=1).reshape(
-            self.n_slots, 2, 2)
+        self._coef_arr = np.concatenate((self.psi, self.psi.transpose(0, 2, 1)),
+                                        axis=1).reshape(self.n_slots, 2, 2)
         # incoming slots grouped by target node, in slot order within a node
         self._order = np.argsort(target, kind="stable")
-        degrees = np.bincount(target, minlength=topo.n_nodes)
+        degrees = np.bincount(target, minlength=self.topology.n_nodes)
         active = np.flatnonzero(degrees)
         self._active_nodes = active
         self._seg_starts = (np.cumsum(degrees) - degrees)[active]
-        self._phi_active = model.phi[active]
+        self._phi_active = self.phi[active]
         # position of each slot's source node among the active nodes
         self._src_pos = np.searchsorted(active, self._src_arr)
+
+    @property
+    def model(self) -> LatentIsingModel | None:
+        """The model this engine was built from, held weakly, so that a
+        model and its cached engine are freed together as soon as the
+        model is dropped; ``None`` after that.  No run reads it."""
+        return self._model()
 
     @cached_property
     def _list_tables(self):
@@ -202,9 +215,8 @@ class Engine:
         src_in = [[s2 for s2 in incoming[p] if s2 >> 1 != s >> 1]
                   for s, p in enumerate(self._src_pos.tolist())]
         coef = [tuple(c) for c in self._coef_arr.reshape(-1, 4)]
-        phi = self.model.phi
-        return (self._src_arr.tolist(), coef, src_in, phi[:, 0].tolist(),
-                phi[:, 1].tolist())
+        return (self._src_arr.tolist(), coef, src_in, self.phi[:, 0].tolist(),
+                self.phi[:, 1].tolist())
 
     def _node_products(self, messages):
         """Field times the product of incoming messages at every active
@@ -221,7 +233,7 @@ class Engine:
     def forest(self) -> ForestSolver:
         """The model's ``ForestSolver``, built on its first use; a graph
         with a cycle raises ``ValueError``."""
-        return ForestSolver(self.model)
+        return ForestSolver(self)
 
     def solve(self, observed, bstar, warm=None, schedule: Schedule | None = None):
         """Beliefs of R independent constrained runs on this model at once.
@@ -253,7 +265,7 @@ class Engine:
         """
         observed = np.asarray(observed, dtype=bool)
         bstar = np.asarray(bstar, dtype=float)
-        if not self.model.topology.is_forest:
+        if not self.topology.is_forest:
             if warm is None:
                 warm = np.full((len(observed), self.n_slots, 2), 0.5)
             m, *report = self.sweep(warm, observed, bstar, schedule or Schedule())
@@ -282,7 +294,7 @@ class Engine:
         schedule = schedule or Schedule()
         constraints = dict(constraints or {})
 
-        n_nodes = self.model.topology.n_nodes
+        n_nodes = self.topology.n_nodes
         pinned = np.zeros(n_nodes, dtype=bool)
         bstar = np.zeros((n_nodes, 2))
         for i, b in constraints.items():
@@ -306,7 +318,7 @@ class Engine:
                 _normalized(init), pinned.tolist(), bstar[:, 0].tolist(),
                 bstar[:, 1].tolist(), schedule,
             )
-        elif pinned.any() and self.model.topology.is_forest:
+        elif pinned.any() and self.topology.is_forest:
             _normalized(init)  # validated only: the solver starts from zero tilts
             observed, bstar = pinned[None], bstar[None]
             beliefs, (_, _, theta), converged, steps, residual = self.solve(observed,
@@ -327,7 +339,7 @@ class Engine:
         edge_beliefs = self.edge_beliefs(m[None], pinned[None], bstar[None])[0]
         state = BeliefState(
             node_beliefs, edge_beliefs,
-            m.reshape(self.model.topology.n_edges, 2, 2), constraints,
+            m.reshape(self.topology.n_edges, 2, 2), constraints,
         )
         return state, ConvergenceReport(converged, sweeps, float(residual))
 
@@ -481,7 +493,7 @@ class Engine:
     def node_beliefs(self, messages, pinned, bstar) -> np.ndarray:
         """Normalized node beliefs of R runs, shape (R, n_nodes, 2), from
         messages shaped (R, n_slots, 2); pinned nodes carry ``bstar``."""
-        b = np.repeat(self.model.phi[None], len(messages), axis=0)
+        b = np.repeat(self.phi[None], len(messages), axis=0)
         b[:, self._active_nodes] = self._node_products(messages)
         b /= (b[..., 0] + b[..., 1])[..., None]
         return np.where(np.asarray(pinned, dtype=bool)[..., None], bstar, b)
@@ -498,7 +510,7 @@ class Engine:
         np.maximum(denom, floor[..., None], out=denom)
         n = np.take(b, self._src_arr, axis=1) / denom
         # slot 2e + 1 has source i, slot 2e source j
-        table = self.model.psi * (n[:, 1::2, :, None] * n[:, 0::2, None, :])
+        table = self.psi * (n[:, 1::2, :, None] * n[:, 0::2, None, :])
         return table / table.sum(axis=(2, 3), keepdims=True)
 
 
@@ -538,17 +550,20 @@ class ForestSolver:
     b* of exactly 0 or 1 is hard evidence: it is clamped through the node
     potential and left out of Newton.  Every operation acts row by row, so
     a run ends exactly where it would end alone.
+
+    The solver reads the ``topology``, ``phi`` and ``psi`` of ``source``,
+    a model or its engine (``Engine.forest`` passes the engine).
     """
 
-    def __init__(self, model: LatentIsingModel):
-        topo = model.topology
+    def __init__(self, source: LatentIsingModel | Engine):
+        topo = source.topology
         if not topo.is_forest:
             raise ValueError("ForestSolver needs a graph without cycles")
         self._topology = topo
         levels = topo.levels
         order, nr, n = levels.order, levels.n_roots, topo.n_nodes
-        self._phi0 = model.phi[order, 0]
-        self._phi1 = model.phi[order, 1]
+        self._phi0 = source.phi[order, 0]
+        self._phi1 = source.phi[order, 1]
         child = order[nr:]
         # every edge's child position, whether the child is its second end,
         # and psi oriented (child, parent) at every non-root position
@@ -559,7 +574,7 @@ class ForestSolver:
         self._edge_flip[edge] = np.reshape(topo.edges, (-1, 2))[edge, 1] == child
         psi = self._psi = np.ones((n, 2, 2))
         psi[nr:] = np.where(self._edge_flip[edge, None, None],
-                            model.psi[edge].swapaxes(1, 2), model.psi[edge])
+                            source.psi[edge].swapaxes(1, 2), source.psi[edge])
         # per level below the roots: slice, parents, reduceat groups, psi
         self._levels = [
             (lo, hi, par, starts, heads,

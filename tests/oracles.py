@@ -459,3 +459,15 @@ def edge_state_per_level(solver, observed, bstar, theta):
     down /= down.sum(axis=-1, keepdims=True)
     f = flip[:, None]
     return pairs, np.stack([np.where(f, up, down), np.where(f, down, up)], axis=2)
+
+
+def model_to_dict(model) -> dict:
+    """A fitted model as a legacy JSON model file holds it, each node's
+    sorted ECDF samples inline, for ``model_io.model_from_dict`` and
+    ``load_models`` to read."""
+    nodes = [{"id": i, "encoder": enc.kind, "p1": enc.p1,
+              "cdf_samples": enc.cdf.sorted_samples.tolist()}
+             for i, enc in enumerate(model.encoders)]
+    edges = [{"i": i, "j": j, "p11": m.p_ij11, "n_obs": m.n_obs}
+             for (i, j), m in zip(model.topology.edges, model.marginals)]
+    return {"alpha": model.alpha, "nodes": nodes, "edges": edges}

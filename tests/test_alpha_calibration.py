@@ -1,3 +1,7 @@
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,10 +9,13 @@ from latent_ising import (
     AlphaSearchConfig,
     GraphTopology,
     PairwiseMarginal,
+    Schedule,
     assemble,
     calibrate,
     deviation,
 )
+from latent_ising.alpha_calibration import PROBE_SCHEDULE
+from latent_ising.propagation import _LIST_MAX_SLOTS
 
 from oracles import random_consistent_marginals, random_tree_edges
 
@@ -103,3 +110,48 @@ def test_nonconvergence_counts_as_past_transition():
     model = _saturated_cycle()
     # at alpha = 1 the saturated cycle does not settle: deviation is inf
     assert deviation(model.with_alpha(1.0)) == np.inf
+
+
+def _probe_models(rng):
+    """Fitted-like models of every traversal: a pair (the list sweep), a
+    tree above the list size (the kernel) and a saturated cycle."""
+    pair = assemble(GraphTopology(2, ((0, 1),)), [PairwiseMarginal(0.3, 0.6, 0.25)], 1.0)
+    tree = _tree_model(rng, n=_LIST_MAX_SLOTS)
+    assert tree.engine.n_slots > _LIST_MAX_SLOTS
+    return pair, tree, _saturated_cycle()
+
+
+def test_a_dropped_probe_is_freed_without_the_garbage_collector():
+    # the engine holds its model weakly, so probe, engine and solver form
+    # no reference cycle and are freed when the last reference goes
+    rng = np.random.default_rng(7)
+    models = _probe_models(rng)
+    gc.collect()
+    gc.disable()
+    try:
+        for model in models:
+            probe = model.with_alpha(0.25)
+            deviation(probe)
+            engine = probe.engine
+            assert engine.model is probe
+            refs = weakref.ref(probe), weakref.ref(engine)
+            del probe, engine
+            assert all(ref() is None for ref in refs)
+            probes = []
+
+            def tracked(m):
+                probes.append(weakref.ref(m))
+                return deviation(m)
+
+            calibrate(model, deviation_fn=tracked)
+            assert probes and all(ref() is None for ref in probes)
+    finally:
+        gc.enable()
+
+
+def test_probe_schedule_is_not_a_setting():
+    config = AlphaSearchConfig(precision=0.02, tau=0.1)
+    assert config.schedule is PROBE_SCHEDULE and not PROBE_SCHEDULE.auto_damp
+    assert [f.name for f in dataclasses.fields(AlphaSearchConfig)] == ["precision", "tau"]
+    with pytest.raises(TypeError):
+        AlphaSearchConfig(schedule=Schedule())

@@ -11,7 +11,9 @@ import pytest
 import latent_ising
 from latent_ising.cli import main
 from latent_ising.harness import DECIMATION_COLUMNS
-from latent_ising.model_io import load_models, model_to_dict, save_models
+from latent_ising.model_io import load_models, save_models
+
+from oracles import model_to_dict
 
 
 def run(*args):
@@ -278,6 +280,11 @@ def bad_inputs(pair_files, tmp_path_factory):
         "t_always_negative.json": {**truth_payload, "always_observed": [-1]},
         "t_always_repeated.json": {**truth_payload, "always_observed": [1, 1]},
         "t_always_float.json": {**truth_payload, "always_observed": [0.5]},
+        "four_nodes.json": {  # the pair fitted twice over, on nodes 0-1 and 2-3
+            **model,
+            "nodes": model["nodes"] + [{**d, "id": d["id"] + 2} for d in model["nodes"]],
+            "edges": model["edges"] + [{**d, "i": d["i"] + 2, "j": d["j"] + 2}
+                                       for d in model["edges"]]},
     }
     for name, payload in payloads.items():
         (tmp / name).write_text(json.dumps(payload))
@@ -322,6 +329,8 @@ ERROR_BOUNDARY = [
      "decimate: k must be at least 1"),
     (_decimate("--predictors", "exact", fitted=("fitted", "fitted2.npz")),
      "decimate: two fitted models with 'cdf' encoders"),
+    (_decimate("--predictors", "inverse-cdf", fitted=("four_nodes.json",)),
+     "decimate: fitted model has 4 nodes, the truth model 2"),
     (_decimate("--predictors", "exact", fitted=("mixed.json",)),
      "decimate: fitted model mixes encoder kinds: node 1 has 'median-step', node 0 "
      "has 'cdf'"),

@@ -11,6 +11,7 @@ from latent_ising import (
     decimate,
     fit_from_copula,
     generate_copula,
+    harness,
     impose_observations,
     mbp_run,
     pair_topology,
@@ -20,10 +21,10 @@ from latent_ising import (
 )
 
 from latent_ising.harness import DECIMATION_COLUMNS
-from latent_ising.model_io import model_from_dict, model_to_dict
+from latent_ising.model_io import model_from_dict
 from latent_ising.propagation import Engine, ForestSolver
 
-from oracles import build_decoder, reference_decimation, reference_fit
+from oracles import build_decoder, model_to_dict, reference_decimation, reference_fit
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +165,23 @@ def test_model_with_mixed_encoder_kinds_rejected(pair_setup):
     with pytest.raises(ValueError, match="fitted model mixes encoder kinds: "
                                          "node 1 has 'median-step', node 0 has 'cdf'"):
         decimate(truth, mixed, ["inverse-cdf", "bayes-quad"], replicates=2, seed=0)
+
+
+def test_model_of_another_size_rejected(monkeypatch, pair_setup):
+    # checked before any outcome is drawn, whichever side is larger
+    truth, fitted_cdf, _, _ = pair_setup
+    tree_truth = generate_copula(regular_tree_topology(3, 4), seed=3)
+    tree_fitted, _ = fit_from_copula(tree_truth, "cdf", n_train=300, seed=4)
+
+    def no_sample(*args, **kwargs):
+        raise AssertionError("sampled before the node counts were checked")
+
+    monkeypatch.setattr(harness, "sample", no_sample)
+    for truth_model, model, message in (
+            (truth, tree_fitted, "fitted model has 4 nodes, the truth model 2"),
+            (tree_truth, fitted_cdf, "fitted model has 2 nodes, the truth model 4")):
+        with pytest.raises(ValueError, match=message):
+            decimate(truth_model, model, ["inverse-cdf"], replicates=2, seed=0)
 
 
 def test_missing_coding_model_rejected(pair_setup):

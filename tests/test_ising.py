@@ -1,8 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from latent_ising import GraphTopology, PairwiseMarginal, assemble, exact_joint
-from latent_ising.ising import tree_matvec, tree_solve
+from latent_ising import (
+    GraphTopology,
+    LatentIsingModel,
+    PairwiseMarginal,
+    assemble,
+    exact_joint,
+    fit_from_copula,
+    generate_copula,
+    ising,
+    regular_tree_topology,
+)
+from latent_ising.ising import pair_tables, tree_matvec, tree_solve
 
 from oracles import (
     degree,
@@ -275,6 +287,96 @@ def test_with_alpha_reuses_marginals():
     half = model.with_alpha(0.5)
     np.testing.assert_allclose(half.psi[0], model.psi[0] ** 0.5)
     assert half.marginals == model.marginals
+
+
+def test_pair_tables_rows_are_the_marginals_tables():
+    # one formula: the array form's rows are each marginal's table and ratio
+    rng = np.random.default_rng(51)
+    edges = random_tree_edges(rng, 30)
+    _, marginals = random_consistent_marginals(rng, edges, 30)
+    columns = np.array([(m.p_i1, m.p_j1, m.p_ij11) for m in marginals]).T
+    tables, ratios = pair_tables(*columns)
+    assert tables.shape == ratios.shape == (len(marginals), 2, 2)
+    assert tables.flags.c_contiguous and ratios.flags.c_contiguous
+    for m, table, ratio in zip(marginals, tables, ratios):
+        np.testing.assert_array_equal(m.table(), table)
+        np.testing.assert_array_equal(m.ratio(), ratio)
+        np.testing.assert_array_equal(pair_tables(m.p_i1, m.p_j1, m.p_ij11)[1], ratio)
+
+
+WITH_ALPHAS = (0.0, 0.109375, 0.5, 1.0)
+
+
+def _bare_models(rng):
+    """Random bare models at alpha 1 with their marginals: trees whose
+    node marginals are inferred from the edges, and graphs with cycles and
+    isolated nodes whose node marginals are given."""
+    for _ in range(10):
+        n = int(rng.integers(2, 25))
+        edges = random_tree_edges(rng, n)
+        _, marginals = random_consistent_marginals(rng, edges, n)
+        yield GraphTopology(n, tuple(edges)), marginals, None
+        topology = _random_graph(rng, n)
+        p1, marginals = random_consistent_marginals(rng, topology.edges, n)
+        yield topology, marginals, p1
+
+
+def _assert_with_alpha_is_assemble(model, assembled_at):
+    for alpha in WITH_ALPHAS:
+        probe = model.with_alpha(alpha)
+        np.testing.assert_array_equal(probe.psi, assembled_at(alpha).psi)
+        assert probe.alpha == alpha
+        for name in ("topology", "node_p1", "phi", "marginals", "encoders"):
+            assert getattr(probe, name) is getattr(model, name)
+
+
+def test_with_alpha_gives_the_psi_of_assemble_on_bare_models():
+    rng = np.random.default_rng(52)
+    for topology, marginals, p1 in _bare_models(rng):
+        model = assemble(topology, marginals, 1.0, node_p1=p1)
+        _assert_with_alpha_is_assemble(
+            model, lambda a: assemble(topology, marginals, a, node_p1=p1))
+
+
+def test_with_alpha_gives_the_psi_of_assemble_on_a_fitted_model():
+    truth = generate_copula(regular_tree_topology(3, 12), seed=5)
+    fitted, _ = fit_from_copula(truth, "cdf", n_train=600, seed=6)
+    _assert_with_alpha_is_assemble(
+        fitted, lambda a: assemble(fitted.topology, fitted.marginals, a,
+                                   encoders=fitted.encoders))
+
+
+def test_with_alpha_does_not_assemble(monkeypatch):
+    m = PairwiseMarginal(0.3, 0.6, 0.25)
+    model = assemble(GraphTopology(2, ((0, 1),)), [m], 1.0)
+
+    def no_assemble(*args, **kwargs):
+        raise AssertionError("with_alpha assembled the model again")
+
+    monkeypatch.setattr(ising, "assemble", no_assemble)
+    half = model.with_alpha(0.5)
+    assert half.engine is not model.engine  # a probe builds its own engine
+    with pytest.raises(ValueError, match="alpha"):
+        model.with_alpha(1.5)
+
+
+def test_with_alpha_needs_one_marginal_per_edge():
+    # a model built without marginals has no ratios to temper
+    m = PairwiseMarginal(0.3, 0.6, 0.25)
+    model = assemble(GraphTopology(2, ((0, 1),)), [m], 1.0)
+    raw = LatentIsingModel(model.topology, model.node_p1, (), 1.0, model.phi, model.psi)
+    with pytest.raises(ValueError, match="one pairwise marginal required per edge"):
+        raw.with_alpha(0.5)
+    with pytest.raises(ValueError, match="one pairwise marginal required per edge"):
+        dataclasses.replace(model, marginals=(m, m)).with_alpha(0.5)
+
+
+def test_infinite_coupling_names_the_first_bad_edge():
+    topo = GraphTopology(4, ((0, 1), (1, 2), (2, 3)))
+    ms = [PairwiseMarginal(0.5, 0.5, 0.3), PairwiseMarginal(0.5, 0.5, 0.5),
+          PairwiseMarginal(0.5, 0.5, 0.0)]
+    with pytest.raises(ValueError, match=r"infinite coupling on edge \(1,2\)"):
+        assemble(topo, ms, 1.0)
 
 
 def test_exact_joint_single_node_is_phi():

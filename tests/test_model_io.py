@@ -25,11 +25,12 @@ from latent_ising.model_io import (
     load_observations_csv,
     load_pairs_csv,
     model_from_dict,
-    model_to_dict,
     save_copula,
     save_dataset_csv,
     save_models,
 )
+
+from oracles import model_to_dict
 
 
 @pytest.fixture(scope="module")

@@ -314,12 +314,13 @@ def test_run_picks_the_traversal_from_the_graph_size(n_slots):
     schedule = Schedule()
     for _ in range(5):
         if n_slots <= _LIST_MAX_SLOTS:
-            engine = Engine(_random_tree_model(rng, n_slots // 2 + 1))
+            model = _random_tree_model(rng, n_slots // 2 + 1)
         else:
-            engine = Engine(_random_loopy_model(rng, n_slots // 2))
-            assert not engine.model.topology.is_forest
+            model = _random_loopy_model(rng, n_slots // 2)
+            assert not model.topology.is_forest
+        engine = Engine(model)
         assert engine.n_slots == n_slots
-        constraints, pinned, bstar = _pinned_query(rng, engine.model.topology.n_nodes)
+        constraints, pinned, bstar = _pinned_query(rng, model.topology.n_nodes)
         init = rng.uniform(0.1, 0.9, size=(engine.n_slots, 2))
         state, report = engine.run(constraints, schedule, init_messages=init)
         if n_slots <= _LIST_MAX_SLOTS:
@@ -652,7 +653,8 @@ def test_run_on_a_constrained_forest_is_row_0_of_solve():
     # Engine.run answers a constrained forest run as a cold one-row
     # Engine.solve, with edge_state at its tilts, bit for bit
     rng = np.random.default_rng(48)
-    for engine, observed, _, constraints in _forest_queries(rng, 8):
+    for model, observed, _, constraints in _forest_queries(rng, 8):
+        engine = model.engine
         state, report = engine.run(constraints)
         bstar = np.zeros(observed.shape + (2,))
         for i, b in constraints.items():
@@ -668,21 +670,22 @@ def test_run_on_a_constrained_forest_is_row_0_of_solve():
 
 def _forest_queries(rng, count):
     """Random forests above the list size with several components, alpha
-    in (0, 1], and evidence with some hard 0/1 targets: (engine, observed,
+    in (0, 1], and evidence with some hard 0/1 targets: (model, observed,
     bstar, constraints) per query."""
     for _ in range(count):
         n = int(rng.integers(60, 91))
-        engine = Engine(_random_forest_model(rng, n, alpha=1.0 - rng.random()))
-        assert engine.n_slots > _LIST_MAX_SLOTS
-        assert engine.model.topology.n_edges < n - 1  # several components
+        model = _random_forest_model(rng, n, alpha=1.0 - rng.random())
+        assert model.engine.n_slots > _LIST_MAX_SLOTS
+        assert model.topology.n_edges < n - 1  # several components
         observed, bstar = _random_evidence(rng, 1, n)
-        yield engine, observed, bstar, _constraints(observed[0], bstar[0])
+        yield model, observed, bstar, _constraints(observed[0], bstar[0])
 
 
 def test_run_on_forests_matches_converged_sweeps():
     rng = np.random.default_rng(22)
     hard = 0
-    for engine, observed, bstar, constraints in _forest_queries(rng, 12):
+    for model, observed, bstar, constraints in _forest_queries(rng, 12):
+        engine = model.engine
         hard += int(np.isin(bstar[observed][:, 1], (0.0, 1.0)).sum())
         state, report = engine.run(constraints)
         assert report.converged and report.method == "newton"
@@ -703,10 +706,11 @@ def test_run_on_forests_returns_the_fixed_point():
     # pair beliefs marginalise to the node beliefs, and the messages are
     # the mirror fixed point: a sweep from them stops at its first sweep
     rng = np.random.default_rng(23)
-    for engine, observed, bstar, constraints in _forest_queries(rng, 12):
+    for model, observed, bstar, constraints in _forest_queries(rng, 12):
+        engine = model.engine
         state, report = engine.run(constraints)
         assert report.converged
-        edges = np.asarray(engine.model.topology.edges)
+        edges = np.asarray(model.topology.edges)
         np.testing.assert_allclose(state.edge_beliefs.sum(axis=2),
                                    state.node_beliefs[edges[:, 0]], rtol=0, atol=1e-9)
         np.testing.assert_allclose(state.edge_beliefs.sum(axis=1),
@@ -719,9 +723,10 @@ def test_run_on_forests_returns_the_fixed_point():
 
 def test_run_on_forests_validates_its_inputs(monkeypatch):
     rng = np.random.default_rng(24)
-    engine, _, _, constraints = next(_forest_queries(rng, 1))
+    forest, _, _, constraints = next(_forest_queries(rng, 1))
     assert constraints  # the run takes the forest path
-    n, n_slots = engine.model.topology.n_nodes, engine.n_slots
+    engine = forest.engine
+    n, n_slots = forest.topology.n_nodes, engine.n_slots
     bad = np.full((n_slots, 2), 0.5)
     bad[3] = [-0.5, 1.0]
     for init in (bad, np.full((n_slots + 1, 2), 0.5)):
@@ -739,8 +744,9 @@ def test_run_on_forests_validates_its_inputs(monkeypatch):
     for owner, name in ((Engine, "_sweep_sequential"), (Engine, "sweep"),
                         (ForestSolver, "solve")):
         monkeypatch.setattr(owner, name, no_run)
-    engines = (Engine(_random_tree_model(rng, 2)), engine,
-               Engine(_random_loopy_model(rng, _LIST_MAX_SLOTS)))
+    models = (_random_tree_model(rng, 2), forest,
+              _random_loopy_model(rng, _LIST_MAX_SLOTS))
+    engines = tuple(model.engine for model in models)
     for run_engine in engines:
         for b in ([np.nan, 1.0], [np.inf, 1.0], [1.0, np.inf], [np.nan, np.nan],
                   [1.0, -np.inf]):
@@ -799,8 +805,9 @@ def test_engine_solve_rows_equal_single_runs(graph):
     # a batch of R runs, cold and then warm, ends row by row exactly where
     # each run ends alone
     rng = np.random.default_rng(27)
-    engine = Engine(_solve_models(rng)[graph])
-    n_runs, n = 10, engine.model.topology.n_nodes
+    model = _solve_models(rng)[graph]
+    engine = Engine(model)
+    n_runs, n = 10, model.topology.n_nodes
     (first, second), bstar = _reveal_steps(rng, n_runs, n)
     schedule = Schedule(max_sweeps=60, tol=1e-9)
     cold = engine.solve(first, bstar, None, schedule)
@@ -818,8 +825,9 @@ def test_engine_solve_forest_warm_step_starts_at_reveal_tilt():
     # on a forest the state carries the tilts, and a node revealed since the
     # last call starts at reveal_tilt of its target and its last belief
     rng = np.random.default_rng(28)
-    engine = Engine(_solve_models(rng)["forest"])
-    (first, second), bstar = _reveal_steps(rng, 8, engine.model.topology.n_nodes)
+    model = _solve_models(rng)["forest"]
+    engine = Engine(model)
+    (first, second), bstar = _reveal_steps(rng, 8, model.topology.n_nodes)
     cold = engine.solve(first, bstar)
     expected = engine.forest.solve(first, bstar)
     np.testing.assert_array_equal(cold[0], expected[0])
@@ -864,6 +872,32 @@ def test_model_keeps_one_engine_and_one_solver(monkeypatch):
     other = model.with_alpha(0.5)
     assert other.engine is not engine and other.engine.model is other
     assert "Engine" not in repr(model)
+
+
+def test_engine_answers_without_its_model():
+    # an engine keeps the topology, fields and couplings it reads and holds
+    # its model weakly; no run, solve or solver reads the model, so once it
+    # is freed every path answers as the engine of a live model does
+    rng = np.random.default_rng(30)
+    models = (_random_tree_model(rng, 3), _random_forest_model(rng, 70, alpha=0.8),
+              _grid_model(rng, 5, alpha=0.9))
+    for model in models:
+        observed, bstar = _random_evidence(rng, 4, model.topology.n_nodes)
+        constraints = _constraints(observed[0], bstar[0])
+        orphan = Engine(dataclasses.replace(model))  # its model is freed at once
+        assert orphan.model is None
+        assert all(getattr(orphan, name) is getattr(model, name)
+                   for name in ("topology", "phi", "psi"))
+        for query in (None, constraints):
+            (state, report), (expected, expected_report) = (
+                engine.run(query) for engine in (orphan, model.engine))
+            assert report == expected_report
+            for name in ("node_beliefs", "edge_beliefs", "messages"):
+                np.testing.assert_array_equal(getattr(state, name),
+                                              getattr(expected, name))
+        for a, b in zip(_spread(orphan.solve(observed, bstar)),
+                        _spread(model.engine.solve(observed, bstar)), strict=True):
+            np.testing.assert_array_equal(a, b)
 
 
 def _grid_model(rng, k, alpha):
@@ -994,7 +1028,8 @@ def test_node_beliefs_are_the_field_times_the_incoming_messages():
     # R runs at once, against a per-node product on random loopy graphs
     rng = np.random.default_rng(29)
     for n in (3, 12, 40):
-        engine = Engine(_random_loopy_model(rng, n, alpha=0.8))
+        model = _random_loopy_model(rng, n, alpha=0.8)
+        engine = Engine(model)
         n_runs = 5
         messages = rng.uniform(0.05, 0.95, size=(n_runs, engine.n_slots, 2))
         pinned = rng.random((n_runs, n)) < 0.3
